@@ -1,160 +1,59 @@
 #include "fed/foreman.h"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <utility>
 
-#include "net/socket.h"
-#include "obs/collector.h"
 #include "obs/recorder.h"
-#include "util/error.h"
-#include "util/log.h"
 
 namespace lfm::fed {
 
 namespace {
 
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-obs::Metrics* metrics_sink(obs::Metrics* configured) {
-  if (configured != nullptr) return configured;
-  return obs::Recorder::enabled() ? &obs::Recorder::global().metrics() : nullptr;
-}
-
-net::MasterServiceConfig shard_config(const ForemanConfig& c) {
+net::MasterServiceConfig shard_config(
+    const ForemanConfig& c, std::function<void(wq::TelemetryMessage&&)> relay) {
   net::MasterServiceConfig s = c.service;
   // The shard tier must not declare the run over when its local queue
   // drains — the root decides when the run ends.
   s.persistent = true;
   if (s.metrics == nullptr) s.metrics = c.metrics;
+  // Worker telemetry relays straight upward: the service adds its
+  // worker-link clock offset before this fires, the root adds the
+  // foreman-link offset on receipt, so the cumulative offset walks the tree.
+  s.on_telemetry = std::move(relay);
   return s;
 }
 
 }  // namespace
 
-void Foreman::count(const char* name, int64_t n) {
-  if (obs::Metrics* m = metrics_sink(config_.metrics)) m->counter(name).add(n);
-}
-
-net::MasterServiceConfig Foreman::shard_config_with_telemetry(
-    const ForemanConfig& c) {
-  net::MasterServiceConfig s = shard_config(c);
-  // Worker telemetry relays straight upward: the service adds its
-  // worker-link clock offset before this fires, the root adds the
-  // foreman-link offset on receipt, so the cumulative offset walks the tree.
-  s.on_telemetry = [this](wq::TelemetryMessage&& m) {
-    relay_telemetry(std::move(m));
-  };
-  return s;
-}
-
 Foreman::Foreman(ForemanConfig config)
-    : config_(std::move(config)),
-      service_(loop_, shard_config_with_telemetry(config_)),
+    : Uplink({config.name, config.root_host, config.root_port,
+              config.wire_version, config.capacity, config.reconnect,
+              config.max_reconnect_attempts, net::kDefaultIdleTimeout,
+              net::kDefaultHandshakeTimeout,
+              config.telemetry_backpressure_bytes},
+             net::TierMetrics(config.metrics, "foreman")),
+      config_(std::move(config)),
+      service_(loop_, shard_config(config_,
+                                   [this](wq::TelemetryMessage&& m) {
+                                     relay_telemetry(std::move(m));
+                                   })),
       cache_(config_.cache_capacity_bytes) {
   service_.set_on_result(
       [this](const wq::ResultMessage& r) { on_local_result(r); });
 }
 
 int64_t Foreman::run() {
-  bye_ = false;
-  gave_up_ = false;
-  attempt_ = 0;
-  if (config_.stats_interval > 0) {
-    stats_timer_ =
-        loop_.run_every(config_.stats_interval, [this] { send_stats(); });
-  }
-  try_connect();
-  loop_.run();
-  if (stats_timer_ != 0) {
-    loop_.cancel_timer(stats_timer_);
-    stats_timer_ = 0;
-  }
-  // Last words before the link drops: whatever the drain recorded (final
-  // task.inflight ends, shutdown instants) plus any late worker relays.
-  // Connection::send writes synchronously when the socket can take it, so
-  // this works even with the loop already stopped.
-  ship_telemetry();
-  if (upstream_ && !upstream_->closed()) upstream_->close("foreman shutdown");
-  upstream_.reset();
-  if (gave_up_ && !ever_connected_) {
-    throw Error("fed: foreman \"" + config_.name + "\" could not reach root " +
-                config_.root_host + ":" + std::to_string(config_.root_port));
-  }
+  Uplink::run(config_.stats_interval);
   return relayed_;
 }
 
-void Foreman::stop() {
-  stopped_.store(true);
-  loop_.post([this] {
-    if (upstream_ && !upstream_->closed()) upstream_->close("stopped");
-    service_.shutdown();
-    loop_.stop();
-  });
-}
-
-void Foreman::try_connect() {
-  if (stopped_.load()) {
-    loop_.stop();
-    return;
-  }
-  const int fd = net::connect_tcp(config_.root_host, config_.root_port);
-  if (fd < 0) {
-    ++attempt_;
-    schedule_reconnect("connect failed");
-    return;
-  }
-  ever_connected_ = true;
-  upstream_ = std::make_shared<net::Connection>(loop_, fd, next_conn_id_++);
-  upstream_->set_on_message([this](net::Connection& c, std::string&& wire) {
-    on_upstream_message(c, std::move(wire));
-  });
-  upstream_->set_on_close([this](net::Connection&, const std::string& reason) {
-    loop_.post([this, reason] {
-      if (bye_ || stopped_.load()) return;
-      ++attempt_;
-      schedule_reconnect(reason);
-    });
-  });
-  upstream_->start();
-  wq::HelloMessage hello{config_.name, config_.wire_version, config_.capacity};
-  upstream_->send(wq::encode(hello, config_.wire_version));
-  count("foreman.connects");
+void Foreman::on_connect() {
+  metrics_.count("connects");
   // Results that completed while the link was down travel on the fresh
   // connection; the root's done flags absorb any duplicates.
   flush_results();
 }
 
-void Foreman::schedule_reconnect(const std::string& reason) {
-  if (attempt_ > config_.max_reconnect_attempts) {
-    LFM_WARN("fed", "foreman " + config_.name + " giving up after " +
-                        std::to_string(attempt_ - 1) + " failed reconnects (" +
-                        reason + ")");
-    gave_up_ = true;
-    if (!ever_connected_) {
-      loop_.stop();
-      return;
-    }
-    // Abandon the run but land the local tier cleanly: workers get byes and
-    // the loop stops once their connections drain.
-    service_.shutdown();
-    return;
-  }
-  const double delay =
-      config_.reconnect.backoff_delay(fnv1a(config_.name), attempt_ - 1);
-  loop_.run_after(delay, [this] { try_connect(); });
-}
-
-void Foreman::on_upstream_message(net::Connection& conn, std::string&& wire) {
-  count("foreman.frames_in");
+void Foreman::on_frame(net::Connection& conn, std::string&& wire) {
   switch (wq::classify(wire)) {
     case wq::MessageKind::kFile:
       handle_file(wire);
@@ -163,32 +62,20 @@ void Foreman::on_upstream_message(net::Connection& conn, std::string&& wire) {
     case wq::MessageKind::kTaskBatch:
       handle_tasks(wire);
       return;
-    case wq::MessageKind::kControl: {
-      const wq::ControlMessage ctl = wq::decode_control(wire);
-      if (ctl.type == wq::ControlType::kPing) {
-        wq::ControlMessage pong{wq::ControlType::kPong, ctl.nonce,
-                                ctl.timestamp};
-        // Carry this side's clock on tracing runs so the root can estimate
-        // the foreman-link offset (absent otherwise: untraced control
-        // frames stay byte-identical).
-        if (obs::Recorder::enabled()) pong.peer_time = net::EventLoop::now();
-        conn.send(wq::encode(pong, wq::detect_version(wire)));
-      } else if (ctl.type == wq::ControlType::kBye) {
-        bye_ = true;
-        flush_results();
-        ship_telemetry();
-        // Drain the local tier; the loop stops when the last worker
-        // connection is gone. The upstream link stays OPEN through the
-        // drain so the workers' final telemetry frames (shipped on their
-        // own byes) still relay to the root; run() closes it at the end.
-        service_.shutdown();
-      }
-      return;
-    }
     default:
       conn.close("unexpected message kind from root");
       return;
   }
+}
+
+void Foreman::on_bye(net::Connection& /*conn*/) {
+  flush_results();
+  ship_telemetry();
+  // Drain the local tier; the loop stops when the last worker connection is
+  // gone. The upstream link stays OPEN through the drain so the workers'
+  // final telemetry frames (shipped on their own byes) still relay to the
+  // root; run() closes it at the end.
+  service_.shutdown();
 }
 
 void Foreman::handle_file(const std::string& wire) {
@@ -199,15 +86,15 @@ void Foreman::handle_file(const std::string& wire) {
   // store (dedup against every file already held) and remembered as a
   // manifest; the bytes never cross the root link again while cached.
   pkg::ChunkManifest manifest = pkg::chunk_into_store(backing, cache_);
-  count("foreman.files_cached");
-  count("foreman.file_bytes_in", manifest.total_bytes());
-  file_cache_[fm.name] = CachedFile{std::move(manifest), fm.cacheable};
+  metrics_.count("files_cached");
+  metrics_.count("file_bytes_in", manifest.total_bytes());
+  file_cache_[fm.name] = std::move(manifest);
 }
 
 void Foreman::handle_tasks(const std::string& wire) {
   const std::vector<wq::TaskMessage> tasks = wq::decode_task_batch(wire);
   received_ += static_cast<int64_t>(tasks.size());
-  count("foreman.tasks_received", static_cast<int64_t>(tasks.size()));
+  metrics_.count("tasks_received", static_cast<int64_t>(tasks.size()));
   // Reassemble each input named by this batch once from the shard cache,
   // then fan the bytes out per task (the local MasterService ships each
   // cacheable file once per worker connection regardless).
@@ -217,8 +104,8 @@ void Foreman::handle_tasks(const std::string& wire) {
       if (staged.count(stanza.name)) continue;
       auto it = file_cache_.find(stanza.name);
       if (it == file_cache_.end()) continue;  // worker-local input
-      staged.emplace(stanza.name, pkg::reassemble(it->second.manifest, cache_));
-      count("foreman.cache_reassemblies");
+      staged.emplace(stanza.name, pkg::reassemble(it->second, cache_));
+      metrics_.count("cache_reassemblies");
     }
   }
   for (const wq::TaskMessage& t : tasks) {
@@ -252,26 +139,19 @@ void Foreman::on_local_result(const wq::ResultMessage& result) {
 
 void Foreman::flush_results() {
   if (pending_results_.empty()) return;
-  if (!upstream_ || upstream_->closed()) return;  // flushes on reconnect
-  if (pending_results_.size() > 1 &&
-      config_.wire_version == wq::WireVersion::kV2) {
-    upstream_->send(wq::encode_batch(pending_results_, config_.wire_version));
-  } else {
-    for (const wq::ResultMessage& r : pending_results_) {
-      upstream_->send(wq::encode(r, config_.wire_version));
-    }
-  }
+  if (link() == nullptr) return;  // flushes on reconnect
+  send_results(pending_results_, config_.wire_version);
   relayed_ += static_cast<int64_t>(pending_results_.size());
-  count("foreman.results_relayed",
-        static_cast<int64_t>(pending_results_.size()));
+  metrics_.count("results_relayed",
+                 static_cast<int64_t>(pending_results_.size()));
   pending_results_.clear();
   // Relayed progress restores the full upstream reconnect budget (the same
   // discipline WorkerClient applies to its task completions).
-  attempt_ = 0;
+  progress();
 }
 
 void Foreman::send_stats() {
-  if (!upstream_ || upstream_->closed() || bye_) return;
+  if (link() == nullptr || saw_bye()) return;
   wq::StatsMessage s;
   s.source = config_.name;
   s.workers = service_.connected_workers();
@@ -283,45 +163,21 @@ void Foreman::send_stats() {
   const pkg::ChunkStore::Stats cs = cache_.stats();
   s.cache_chunks = cs.chunks;
   s.cache_bytes = cs.bytes;
-  upstream_->send(wq::encode(s, config_.wire_version));
-  count("foreman.stats_sent");
+  send(wq::encode(s, config_.wire_version));
+  metrics_.count("stats_sent");
   // Telemetry piggybacks on the stats cadence: one timer, two frames.
   ship_telemetry();
 }
 
 void Foreman::relay_telemetry(wq::TelemetryMessage&& msg) {
-  if (!upstream_ || upstream_->closed() ||
-      config_.wire_version != wq::WireVersion::kV2 ||
-      upstream_->queued_bytes() > config_.telemetry_backpressure_bytes) {
-    count("foreman.telemetry_dropped_frames");
+  net::Connection* up = link();
+  if (up == nullptr || config_.wire_version != wq::WireVersion::kV2 ||
+      up->queued_bytes() > config_.telemetry_backpressure_bytes) {
+    metrics_.count("telemetry_dropped_frames");
     return;
   }
-  upstream_->send(wq::encode(msg, wq::WireVersion::kV2));
-  count("foreman.telemetry_relayed");
-}
-
-void Foreman::ship_telemetry() {
-  if (!obs::Recorder::enabled()) return;
-  if (!upstream_ || upstream_->closed()) return;
-  if (config_.wire_version != wq::WireVersion::kV2) return;  // v2-only frame
-  obs::Recorder& r = obs::Recorder::global();
-  if (r.event_count() == 0 && telemetry_dropped_ == 0) return;
-  if (upstream_->queued_bytes() > config_.telemetry_backpressure_bytes) {
-    const std::vector<obs::TraceEvent> dropped = r.drain_events();
-    telemetry_dropped_ += static_cast<int64_t>(dropped.size());
-    count("foreman.telemetry_dropped", static_cast<int64_t>(dropped.size()));
-    return;
-  }
-  wq::TelemetryMessage msg;
-  msg.source = config_.name;
-  msg.process_id = static_cast<uint64_t>(::getpid());
-  msg.clock_offset = 0.0;  // the root adds its foreman-link estimate
-  msg.dropped = telemetry_dropped_;
-  telemetry_dropped_ = 0;
-  msg.events = obs::to_telemetry(r.drain_events());
-  msg.counters = r.metrics().counters();
-  msg.gauges = r.metrics().gauges();
-  upstream_->send(wq::encode(msg, wq::WireVersion::kV2));
+  send(wq::encode(msg, wq::WireVersion::kV2));
+  metrics_.count("telemetry_relayed");
 }
 
 }  // namespace lfm::fed

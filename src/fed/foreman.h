@@ -2,9 +2,9 @@
 // §14).
 //
 // One process, one event loop, two faces. Upward it is a protocol peer of a
-// fed::RootMaster — it connects out like a worker would (hello, then task /
-// file / control frames in, result / stats frames out), reconnecting with
-// chaos::RetryPolicy backoff when the link drops. Downward it runs a full
+// fed::RootMaster — it connects out through the same net::Uplink a worker
+// uses (hello, then task / file / control frames in, result / stats frames
+// out; backoff, budget, handshake and idle timeouts). Downward it runs a full
 // net::MasterService over its own worker pool: every task frame the root
 // sends is decoded, re-batched, and re-encoded into the local dispatch
 // stream (the relay hop), and every local result is coalesced into batch
@@ -22,19 +22,15 @@
 // occupancy, so the root observes the whole subtree through one link.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "alloc/resources.h"
 #include "chaos/retry.h"
-#include "net/conn.h"
-#include "net/event_loop.h"
 #include "net/master_service.h"
-#include "net/worker_client.h"
+#include "net/uplink.h"
 #include "pkg/chunk.h"
 #include "wq/protocol.h"
 
@@ -55,7 +51,8 @@ struct ForemanConfig {
   net::MasterServiceConfig service;
   chaos::RetryPolicy reconnect = net::default_reconnect_policy();
   // Upstream failures tolerated since the last relayed progress (the same
-  // budget discipline net::WorkerClient applies).
+  // budget discipline net::WorkerClient applies). Handshake and idle
+  // timeouts are the net::Uplink defaults.
   int max_reconnect_attempts = 30;
   double stats_interval = 1.0;  // kStats cadence (0 = off)
   // Local results buffered before an upward flush is forced; a loop-deferred
@@ -71,7 +68,7 @@ struct ForemanConfig {
   size_t telemetry_backpressure_bytes = 4u << 20;
 };
 
-class Foreman {
+class Foreman : public net::Uplink {
  public:
   explicit Foreman(ForemanConfig config);
 
@@ -85,26 +82,24 @@ class Foreman {
   // lfm::Error if the root was never reached at all.
   int64_t run();
 
-  // Thread-safe: make run() return after the current callback.
-  void stop();
-
   int64_t results_relayed() const { return relayed_; }
   int64_t tasks_received() const { return received_; }
-  bool gave_up() const { return gave_up_; }
   const pkg::ChunkStore& cache() const { return cache_; }
   net::MasterService& service() { return service_; }
 
  private:
-  struct CachedFile {
-    pkg::ChunkManifest manifest;
-    bool cacheable = false;
-  };
-
-  net::MasterServiceConfig shard_config_with_telemetry(const ForemanConfig& c);
-  void count(const char* name, int64_t n = 1);
-  void try_connect();
-  void schedule_reconnect(const std::string& reason);
-  void on_upstream_message(net::Connection& conn, std::string&& wire);
+  void on_frame(net::Connection& conn, std::string&& wire) override;
+  void on_bye(net::Connection& conn) override;
+  void on_connect() override;
+  // Abandon the run but land the local tier cleanly: workers get byes and
+  // the loop stops once their connections drain. The same drain ends the
+  // run after a bye, so a closed uplink stops nothing itself.
+  void on_abandon() override { service_.shutdown(); }
+  void on_finished() override {}
+  void on_tick() override { send_stats(); }
+  void count_dropped(int64_t events) override {
+    metrics_.count("telemetry_dropped", events);
+  }
   void handle_file(const std::string& wire);
   void handle_tasks(const std::string& wire);
   void on_local_result(const wq::ResultMessage& result);
@@ -113,27 +108,15 @@ class Foreman {
   // Relay a worker's kTelemetry frame upward (the local MasterService has
   // already added its worker-link clock offset to it).
   void relay_telemetry(wq::TelemetryMessage&& msg);
-  // Ship the foreman's OWN buffered trace events/metrics upward.
-  void ship_telemetry();
 
   ForemanConfig config_;
-  net::EventLoop loop_;
   net::MasterService service_;
   pkg::ChunkStore cache_;
-  std::shared_ptr<net::Connection> upstream_;
-  std::map<std::string, CachedFile> file_cache_;
+  std::map<std::string, pkg::ChunkManifest> file_cache_;  // by file name
   std::vector<wq::ResultMessage> pending_results_;
   bool flush_scheduled_ = false;
-  uint64_t next_conn_id_ = 1;
-  int attempt_ = 0;  // upstream failures since last relayed progress
-  bool ever_connected_ = false;
-  bool bye_ = false;
-  bool gave_up_ = false;
-  std::atomic<bool> stopped_{false};
   int64_t relayed_ = 0;
   int64_t received_ = 0;
-  uint64_t stats_timer_ = 0;
-  int64_t telemetry_dropped_ = 0;  // own events discarded under backpressure
 };
 
 }  // namespace lfm::fed

@@ -1,338 +1,143 @@
 #include "fed/root_master.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
-#include "net/master_service.h"
 #include "obs/collector.h"
 #include "obs/recorder.h"
-#include "util/error.h"
 #include "util/log.h"
 
 namespace lfm::fed {
 
 namespace {
 
-obs::Metrics* metrics_sink(obs::Metrics* configured) {
-  if (configured != nullptr) return configured;
-  return obs::Recorder::enabled() ? &obs::Recorder::global().metrics() : nullptr;
+// Telemetry sink for the hub. A frame arrives with every hop below already
+// accumulated (worker to foreman added at the foreman's service); the hub
+// adds this link's estimate, making it source-clock minus root-clock. No
+// collector: the hub drops the frame and counts it.
+std::function<void(wq::TelemetryMessage&&)> collect_into(obs::Collector* c) {
+  if (c == nullptr) return nullptr;
+  return [c](wq::TelemetryMessage&& m) {
+    c->add(m.source, m.clock_offset, std::move(m.events), m.dropped);
+  };
 }
 
 }  // namespace
 
-void RootMaster::count(const char* name, int64_t n) {
-  if (obs::Metrics* m = metrics_sink(config_.metrics)) m->counter(name).add(n);
-}
-
-void RootMaster::observe(const char* name, double v, double lo, double hi) {
-  if (obs::Metrics* m = metrics_sink(config_.metrics)) {
-    m->histogram(name, lo, hi).observe(v);
-  }
-}
-
 RootMaster::RootMaster(net::EventLoop& loop, RootMasterConfig config)
-    : loop_(loop),
-      config_(config),
-      listener_(loop, config.port, config.bind_addr) {
-  listener_.set_on_accept([this](int fd) { on_accept(fd); });
-  listener_.start();
-  if (config_.heartbeat_interval > 0) {
-    heartbeat_timer_ =
-        loop_.run_every(config_.heartbeat_interval, [this] { heartbeat(); });
-  }
-}
-
-RootMaster::~RootMaster() {
-  if (heartbeat_timer_ != 0) loop_.cancel_timer(heartbeat_timer_);
-  for (auto& [id, f] : conns_) {
-    f.conn->set_on_close({});
-    if (!f.conn->closed()) f.conn->close("root shutdown");
-  }
-}
-
-void RootMaster::recover(const chaos::Journal& journal) {
-  for (const uint64_t id : journal.completed_task_ids()) {
-    recovered_done_.insert(id);
-  }
-}
+    : PeerHub(loop, config, "fed", /*persistent=*/false, config.journal,
+              collect_into(config.collector)),
+      config_(std::move(config)) {}
 
 void RootMaster::submit(TaskGroup group) {
   const size_t gidx = groups_.size();
-  Group g;
-  g.name = std::move(group.name);
-  g.files = std::move(group.files);
+  Group g{std::move(group.files), {}, 0, 0};
   for (wq::TaskMessage& task : group.tasks) {
-    const size_t index = tasks_.size();
-    index_by_task_id_[task.task_id] = index;
-    // The root is where a task enters the tree, so the root mints its trace
-    // id (deterministically, from the task id) — every tier below carries
-    // it through the frames' trailing extensions.
-    if (task.trace_id == 0 && obs::Recorder::enabled()) {
-      task.trace_id = net::mint_trace_id(task.task_id);
-    }
-    const bool done = recovered_done_.count(task.task_id) > 0;
-    if (done) {
-      ++stats_.recovered_done;
-      count("fed.recovered_done");
-    } else {
+    const size_t index = ledger_.add(std::move(task));
+    group_of_.push_back(gidx);
+    if (!ledger_[index].done) {  // else already done in the recovered journal
       g.task_indices.push_back(index);
       ++g.remaining;
-      ++pending_;
     }
-    PendingTask pt{std::move(task), gidx, done, 0.0};
-    pt.submitted_at = net::EventLoop::now();
-    tasks_.push_back(std::move(pt));
-    results_.emplace_back();
   }
   ++stats_.groups_submitted;
-  count("fed.groups_submitted");
-  if (g.remaining == 0) {
-    // Every task was already done in the recovered journal.
-    ++stats_.groups_completed;
-    groups_.push_back(std::move(g));
-    return;
-  }
+  metrics_.count("groups_submitted");
+  const bool recovered = g.remaining == 0;
   groups_.push_back(std::move(g));
-  group_queue_.push_back(gidx);
-  dispatch();
-}
-
-void RootMaster::on_accept(int fd) {
-  const uint64_t id = next_conn_id_++;
-  auto conn = std::make_shared<net::Connection>(loop_, fd, id);
-  conn->set_on_message([this, id](net::Connection& c, std::string&& wire) {
-    on_message(id, c, std::move(wire));
-  });
-  conn->set_on_close([this, id](net::Connection&, const std::string& reason) {
-    // Defer: close() can fire from inside dispatch()'s iteration over
-    // conns_; mutating the map there would invalidate the iterator.
-    loop_.post([this, id, reason] { handle_close(id, reason); });
-  });
-  ForemanConn f;
-  f.conn = conn;
-  conns_.emplace(id, std::move(f));
-  ++stats_.foremen_accepted;
-  count("fed.accepts");
-  conn->start();
-}
-
-void RootMaster::on_message(uint64_t conn_id, net::Connection& conn,
-                            std::string&& wire) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  ForemanConn& f = it->second;
-  count("fed.frames_in");
-  switch (wq::classify(wire)) {
-    case wq::MessageKind::kHello: {
-      const wq::HelloMessage hello = wq::decode_hello(wire);
-      f.helloed = true;
-      f.version = hello.preferred;
-      f.name = hello.worker_name;
-      count("fed.hellos");
-      dispatch();
-      return;
-    }
-    case wq::MessageKind::kResult:
-    case wq::MessageKind::kResultBatch: {
-      if (!f.helloed) {
-        conn.close("result before hello");
-        return;
-      }
-      const std::vector<wq::ResultMessage> results =
-          wq::decode_result_batch(wire);
-      for (const wq::ResultMessage& msg : results) handle_result(f, msg);
-      if (!conn.closed()) dispatch();
-      check_finished();
-      return;
-    }
-    case wq::MessageKind::kStats: {
-      handle_stats(f, wq::decode_stats(wire));
-      return;
-    }
-    case wq::MessageKind::kControl: {
-      const wq::ControlMessage ctl = wq::decode_control(wire);
-      if (ctl.type == wq::ControlType::kPing) {
-        wq::ControlMessage pong{wq::ControlType::kPong, ctl.nonce,
-                                ctl.timestamp};
-        if (obs::Recorder::enabled()) pong.peer_time = net::EventLoop::now();
-        conn.send(wq::encode(pong, wq::detect_version(wire)));
-        count("fed.frames_out");
-      } else if (ctl.type == wq::ControlType::kPong) {
-        if (ctl.nonce == f.ping_nonce && f.last_ping_sent > 0) {
-          const double now = net::EventLoop::now();
-          observe("fed.rtt_seconds", now - f.last_ping_sent, 1e-6, 10.0);
-          // A pong carrying the foreman's clock is an offset sample: the
-          // midpoint of send/receive approximates when the remote stamped.
-          if (ctl.peer_time != 0.0) {
-            f.offset.feed(f.last_ping_sent, ctl.peer_time, now);
-          }
-          f.last_ping_sent = 0;
-        }
-      }
-      return;
-    }
-    case wq::MessageKind::kTelemetry: {
-      wq::TelemetryMessage msg = wq::decode_telemetry(wire);
-      ++stats_.telemetry_frames;
-      count("fed.telemetry_frames");
-      // Complete the offset chain: the message already accumulated every
-      // hop below (worker→foreman added at the foreman's MasterService);
-      // adding this link's estimate makes it source-clock minus root-clock.
-      msg.clock_offset += f.offset.offset();
-      if (config_.collector != nullptr) {
-        config_.collector->add(msg.source, msg.clock_offset,
-                               std::move(msg.events), msg.dropped);
-      } else {
-        count("fed.telemetry_dropped_frames");
-      }
-      return;
-    }
-    default:
-      conn.close("unexpected message kind from foreman");
-      return;
-  }
-}
-
-void RootMaster::handle_result(ForemanConn& /*from*/,
-                               const wq::ResultMessage& msg) {
-  auto it = index_by_task_id_.find(msg.task_id);
-  if (it == index_by_task_id_.end()) {
-    count("fed.unknown_results");
-    return;
-  }
-  const size_t index = it->second;
-  PendingTask& t = tasks_[index];
-  if (t.done) {
-    // The group was re-dispatched after a foreman death and a straggler
-    // attempt also reported — exactly-once holds at the root's done flag.
-    ++stats_.duplicate_results;
-    count("fed.duplicate_results");
-    return;
-  }
-  t.done = true;
-  results_[index] = msg;
-  ++stats_.tasks_completed;
-  --pending_;
-  count("fed.results");
-  if (obs::Recorder::enabled()) {
-    // The whole-tree span: submit at the root to result back at the root.
-    // Dropped onto the root's own lane; the tiers below contribute their
-    // task.inflight / lfm.run spans under the same trace id.
-    obs::TraceScope scope(t.task.trace_id);
-    obs::Recorder& r = obs::Recorder::global();
-    const double now = net::EventLoop::now();
-    r.complete(obs::kPidHost, msg.task_id, t.submitted_at,
-               now - t.submitted_at, "task", "fed");
-  }
-  if (config_.journal != nullptr) {
-    // Write-ahead: the done record lands before the completion's downstream
-    // effects (callback, group retirement) run.
-    alloc::Resources peak;
-    peak.cores = msg.cores_used;
-    peak.memory_bytes = static_cast<double>(msg.memory_peak_bytes);
-    peak.disk_bytes = static_cast<double>(msg.disk_peak_bytes);
-    config_.journal->completed(msg.task_id, peak, net::EventLoop::now());
-  }
-  Group& g = groups_[t.group];
-  if (g.remaining > 0) --g.remaining;
-  if (g.remaining == 0) {
-    // A straggler can retire a group that was requeued (assigned == 0)
-    // after its foreman died; dispatch() skips drained groups on pop.
-    if (g.assigned != 0) {
-      auto cit = conns_.find(g.assigned);
-      if (cit != conns_.end()) cit->second.groups.erase(t.group);
-      g.assigned = 0;
-    }
+  if (recovered) {
     ++stats_.groups_completed;
-    count("fed.groups_completed");
+    return;
   }
-  if (on_result_) on_result_(results_[index]);
+  group_queue_.push_back(gidx);
+  dispatch(nullptr);
 }
 
-void RootMaster::handle_stats(ForemanConn& f, const wq::StatsMessage& msg) {
-  f.last_stats = msg;
+void RootMaster::settle(net::Peer& /*from*/, size_t index) {
+  const size_t gidx = group_of_[index];
+  Group& g = groups_[gidx];
+  if (g.remaining > 0) --g.remaining;
+  if (g.remaining != 0) return;
+  // A straggler can retire a group that was requeued (assigned == 0) after
+  // its foreman died; dispatch() skips drained groups on pop.
+  if (g.assigned != 0) {
+    auto it = peers_.find(g.assigned);
+    if (it != peers_.end()) it->second.work.erase(gidx);
+    g.assigned = 0;
+  }
+  ++stats_.groups_completed;
+  metrics_.count("groups_completed");
+}
+
+void RootMaster::on_stats(net::Peer& f, const wq::StatsMessage& msg) {
+  f.stats = msg;
   ++stats_.stats_frames;
-  count("fed.stats_frames");
-  if (obs::Metrics* m = metrics_sink(config_.metrics)) {
+  metrics_.count("stats_frames");
+  if (obs::Metrics* m = metrics_.sink()) {
     // Tree-wide aggregates from the shards' latest frames: the root's view
     // of worker capacity and shard cache health without polling anything.
     int64_t workers = 0, cache_bytes = 0;
-    for (const auto& [id, fc] : conns_) {
-      if (fc.conn->closed()) continue;
-      workers += fc.last_stats.workers;
-      cache_bytes += fc.last_stats.cache_bytes;
+    for (const auto& [id, p] : peers_) {
+      if (p.conn->closed()) continue;
+      workers += p.stats.workers;
+      cache_bytes += p.stats.cache_bytes;
     }
     m->gauge("fed.tree_workers").set(static_cast<double>(workers));
     m->gauge("fed.tree_cache_bytes").set(static_cast<double>(cache_bytes));
   }
 }
 
-void RootMaster::handle_close(uint64_t conn_id, const std::string& reason) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  ForemanConn& f = it->second;
-  absorb_conn_totals(*f.conn);
-  ++stats_.foremen_lost;
-  count("fed.disconnects");
+void RootMaster::lost(net::Peer& f, const std::string& reason) {
   if (config_.journal != nullptr) {
-    config_.journal->worker_lost(static_cast<int>(conn_id),
+    config_.journal->worker_lost(static_cast<int>(f.conn->id()),
                                  net::EventLoop::now());
   }
-  if (!f.groups.empty()) {
-    LFM_WARN("fed", "foreman '" + f.name + "' lost (" + reason + "); requeuing " +
-                        std::to_string(f.groups.size()) + " group(s)");
-    // Requeue to the FRONT so surviving siblings retry promptly; tasks that
-    // already completed stay done (assign_group skips them).
-    for (auto rit = f.groups.rbegin(); rit != f.groups.rend(); ++rit) {
-      Group& g = groups_[*rit];
-      g.assigned = 0;
-      if (g.remaining == 0) continue;
-      group_queue_.push_front(*rit);
-      ++stats_.requeued_groups;
-      stats_.requeued_tasks += static_cast<int64_t>(g.remaining);
-      count("fed.requeued_groups");
-      count("fed.requeued_tasks", static_cast<int64_t>(g.remaining));
-    }
+  if (f.work.empty()) return;
+  LFM_WARN("fed", "foreman '" + f.name + "' lost (" + reason + "); requeuing " +
+                      std::to_string(f.work.size()) + " group(s)");
+  // Requeue to the FRONT so surviving siblings retry promptly; tasks that
+  // already completed stay done (assign_group skips them).
+  for (auto it = f.work.rbegin(); it != f.work.rend(); ++it) {
+    Group& g = groups_[*it];
+    g.assigned = 0;
+    if (g.remaining == 0) continue;
+    group_queue_.push_front(*it);
+    ++stats_.requeued_groups;
+    stats_.requeued_tasks += static_cast<int64_t>(g.remaining);
+    metrics_.count("requeued_groups");
+    metrics_.count("requeued_tasks", static_cast<int64_t>(g.remaining));
   }
-  conns_.erase(it);
-  dispatch();
-  check_finished();
 }
 
-RootMaster::ForemanConn* RootMaster::route(const Group& g) {
+net::Peer* RootMaster::route(const Group& g) {
   // Cache affinity: prefer the link that already holds the most of this
   // group's cacheable files (each hit is a file that will NOT cross the
   // root link again); break ties toward the lightest-loaded shard.
-  ForemanConn* best = nullptr;
+  net::Peer* best = nullptr;
   int best_affinity = -1;
   size_t best_load = 0;
-  for (auto& [id, f] : conns_) {
-    if (!f.helloed || f.conn->closed()) continue;
-    if (f.groups.size() >= static_cast<size_t>(config_.groups_per_foreman)) {
-      continue;
-    }
-    if (f.conn->queued_bytes() >= config_.write_high_watermark) {
-      count("fed.backpressure_stalls");
+  for (auto& [id, f] : peers_) {
+    if (!can_take(f, static_cast<size_t>(config_.groups_per_foreman))) {
       continue;
     }
     int affinity = 0;
     for (const auto& [name, bytes] : g.files) {
-      if (f.shipped_files.count(name)) ++affinity;
+      if (f.files.count(name)) ++affinity;
     }
     if (affinity > best_affinity ||
-        (affinity == best_affinity && f.groups.size() < best_load)) {
+        (affinity == best_affinity && f.work.size() < best_load)) {
       best = &f;
       best_affinity = affinity;
-      best_load = f.groups.size();
+      best_load = f.work.size();
     }
   }
   if (best != nullptr && best_affinity > 0) {
-    count("fed.affinity_hits", best_affinity);
+    metrics_.count("affinity_hits", best_affinity);
   }
   return best;
 }
 
-void RootMaster::dispatch() {
+void RootMaster::dispatch(net::Peer* /*peer*/) {
   while (!group_queue_.empty()) {
     const size_t gidx = group_queue_.front();
     Group& g = groups_[gidx];
@@ -340,251 +145,96 @@ void RootMaster::dispatch() {
       group_queue_.pop_front();
       continue;
     }
-    ForemanConn* f = route(g);
+    net::Peer* f = route(g);
     if (f == nullptr) return;  // every link full or backpressured
     group_queue_.pop_front();
     assign_group(*f, gidx);
   }
 }
 
-void RootMaster::send_files_for(ForemanConn& f, const Group& g) {
+void RootMaster::assign_group(net::Peer& f, size_t group_index) {
+  Group& g = groups_[group_index];
   // Cacheable flags come from the tasks' infile stanzas; a file named by no
   // task ships non-cacheable (the foreman treats it as replaceable).
-  std::map<std::string, bool> cacheable;
+  std::set<std::string> cacheable;
   for (const size_t index : g.task_indices) {
-    for (const wq::TaskMessage::FileStanza& s : tasks_[index].task.infiles) {
-      if (s.cacheable) cacheable[s.name] = true;
+    for (const wq::TaskMessage::FileStanza& s : ledger_[index].task.infiles) {
+      if (s.cacheable) cacheable.insert(s.name);
     }
   }
   for (const auto& [name, bytes] : g.files) {
-    const bool cache = cacheable.count(name) > 0;
-    if (cache && f.shipped_files.count(name)) continue;  // ship-once per link
-    wq::FileMessage fm{name, cache, bytes};
-    f.conn->send(wq::encode(fm, f.version));
-    ++stats_.files_sent;
-    count("fed.files_sent");
-    count("fed.frames_out");
-    if (cache) f.shipped_files.insert(name);
+    send_file(f, name, cacheable.count(name) > 0, bytes);
   }
-}
-
-void RootMaster::assign_group(ForemanConn& f, size_t group_index) {
-  Group& g = groups_[group_index];
-  send_files_for(f, g);
   if (f.conn->closed()) {
     // A send() failure mid-staging closed the link; the group goes back so
-    // the deferred handle_close path can't miss it.
+    // the deferred close path can't miss it.
     group_queue_.push_front(group_index);
     return;
   }
   g.assigned = f.conn->id();
-  f.groups.insert(group_index);
-  std::vector<wq::TaskMessage> batch;
-  batch.reserve(std::min(g.task_indices.size(), config_.max_batch));
-  auto flush = [&] {
-    if (batch.empty()) return;
-    if (batch.size() > 1 && f.version == wq::WireVersion::kV2) {
-      f.conn->send(wq::encode_batch(batch, f.version));
-      count("fed.frames_out");
-    } else {
-      for (const wq::TaskMessage& msg : batch) {
-        f.conn->send(wq::encode(msg, f.version));
-        count("fed.frames_out");
-      }
-    }
-    count("fed.dispatched_tasks", static_cast<int64_t>(batch.size()));
-    observe("fed.batch_size", static_cast<double>(batch.size()), 1.0, 4096.0);
-    batch.clear();
-  };
+  f.work.insert(group_index);
+  std::vector<size_t> batch;
   for (const size_t index : g.task_indices) {
-    if (tasks_[index].done) continue;  // completed before a requeue landed
-    if (obs::Recorder::enabled()) {
-      // Ship marker on the root lane: the moment the task left for a shard.
-      obs::TraceScope scope(tasks_[index].task.trace_id);
-      obs::Recorder::global().instant(obs::kPidHost,
-                                      tasks_[index].task.task_id,
-                                      net::EventLoop::now(), "fed.ship", "fed",
-                                      "foreman", f.name);
-    }
-    batch.push_back(tasks_[index].task);
-    if (batch.size() >= config_.max_batch) flush();
-    if (f.conn->closed()) return;
+    if (!ledger_[index].done) batch.push_back(index);  // else done before a requeue landed
   }
-  flush();
-}
-
-void RootMaster::heartbeat() {
-  const double now = net::EventLoop::now();
-  std::vector<net::Connection*> to_drop;
-  for (auto& [id, f] : conns_) {
-    if (!f.helloed || f.conn->closed()) continue;
-    // A shard grinding through groups streams results and telemetry; only a
-    // genuinely silent link gets pinged or retired.
-    if (config_.idle_timeout > 0 &&
-        now - f.conn->last_activity() > config_.idle_timeout) {
-      to_drop.push_back(f.conn.get());
-      continue;
-    }
-    if (!f.groups.empty()) continue;
-    f.ping_nonce += 1;
-    f.last_ping_sent = now;
-    wq::ControlMessage ping{wq::ControlType::kPing, f.ping_nonce, now};
-    f.conn->send(wq::encode(ping, f.version));
-    count("fed.pings");
-    count("fed.frames_out");
-  }
-  for (net::Connection* c : to_drop) {
-    count("fed.idle_closes");
-    c->close("idle-timeout");
-  }
-}
-
-void RootMaster::begin_finish() {
-  finishing_ = true;
-  // Stop accepting foremen: a shard that recycles its upstream connection
-  // right as the run drains would otherwise reconnect into the backlog and
-  // wait forever on a hello reply the stopped loop never sends. Closing the
-  // listener resets those queued connects so the foreman's bounded
-  // reconnect policy takes over.
-  listener_.close();
-  for (auto& [id, f] : conns_) {
-    if (f.conn->closed()) continue;
-    wq::ControlMessage bye{wq::ControlType::kBye, 0, net::EventLoop::now()};
-    f.conn->send(wq::encode(bye, f.version));
-    count("fed.frames_out");
-    if (obs::Recorder::enabled()) {
-      // Tracing runs leave the close to the foreman: it drains its local
-      // tier first and ships the subtree's final telemetry (its own plus
-      // the workers' bye-time frames) before closing, and closing here
-      // would stop reading and lose those frames. Untraced runs keep the
-      // historical prompt close.
-      continue;
-    }
-    f.conn->close_after_flush();
-  }
-}
-
-void RootMaster::check_finished() {
-  if (!finishing_) {
-    if (pending_ != 0 || tasks_.empty()) return;
-    begin_finish();
-  }
-  if (conns_.empty()) loop_.stop();
+  send_tasks(f, batch);
 }
 
 RootStats RootMaster::run_until_complete(double timeout) {
-  finishing_ = false;
-  timed_out_ = false;
-  if (pending_ == 0) {
-    check_finished();
-    if (!conns_.empty()) loop_.run();
-    return stats();
-  }
-  uint64_t watchdog = 0;
-  if (timeout > 0) {
-    watchdog = loop_.run_after(timeout, [this] {
-      timed_out_ = true;
-      loop_.stop();
-    });
-  }
-  loop_.run();
-  if (watchdog != 0) loop_.cancel_timer(watchdog);
-  if (timed_out_) {
-    throw Error("fed: root run timed out with " + std::to_string(pending_) +
-                " tasks pending");
-  }
+  PeerHub::run_until_complete(timeout);
   return stats();
 }
 
-bool RootMaster::kill_foreman(size_t k) {
-  size_t seen = 0;
-  for (auto& [id, f] : conns_) {
-    if (f.conn->closed() || !f.helloed) continue;
-    if (seen++ == k) {
-      count("fed.injected_drops");
-      f.conn->close("injected drop");
-      return true;
-    }
-  }
-  return false;
-}
-
-int RootMaster::connected_foremen() const {
-  int n = 0;
-  for (const auto& [id, f] : conns_) {
-    if (f.helloed && !f.conn->closed()) ++n;
-  }
-  return n;
-}
-
-void RootMaster::absorb_conn_totals(const net::Connection& conn) {
-  stats_.bytes_sent += conn.bytes_out();
-  stats_.bytes_received += conn.bytes_in();
-  count("fed.bytes_out", conn.bytes_out());
-  count("fed.bytes_in", conn.bytes_in());
-}
-
 RootStats RootMaster::stats() const {
+  const net::LinkTotals t = totals();
   RootStats s = stats_;
-  for (const auto& [id, f] : conns_) {
-    s.bytes_sent += f.conn->bytes_out();
-    s.bytes_received += f.conn->bytes_in();
-  }
+  s.tasks_completed = ledger_.completed();
+  s.duplicate_results = ledger_.duplicates();
+  s.recovered_done = ledger_.recovered();
+  s.foremen_accepted = t.connections_accepted;
+  s.foremen_lost = t.disconnects;
+  s.files_sent = t.files_sent;
+  s.telemetry_frames = t.telemetry_frames;
+  s.bytes_sent = t.bytes_sent;
+  s.bytes_received = t.bytes_received;
   return s;
 }
 
 std::map<std::string, wq::StatsMessage> RootMaster::shard_stats() const {
   std::map<std::string, wq::StatsMessage> out;
-  for (const auto& [id, f] : conns_) {
-    if (f.helloed && !f.conn->closed()) out[f.name] = f.last_stats;
+  for (const auto& [id, f] : peers_) {
+    if (f.live()) out[f.name] = f.stats;
+  }
+  return out;
+}
+
+std::map<std::string, size_t> RootMaster::shard_loads() const {
+  std::map<std::string, size_t> out;
+  for (const auto& [id, f] : peers_) {
+    if (f.live()) out[f.name] = f.work.size();
   }
   return out;
 }
 
 serde::Value RootMaster::statusz_value() const {
   const RootStats s = stats();
-  serde::ValueDict d;
+  serde::ValueDict d = statusz("foremen", [](const net::Peer& f,
+                                                  serde::ValueDict& fd) {
+    fd["groups_inflight"] = static_cast<int64_t>(f.work.size());
+    fd["shipped_files"] = static_cast<int64_t>(f.files.size());
+    fd["shard_workers"] = static_cast<int64_t>(f.stats.workers);
+    fd["shard_pending"] = f.stats.pending;
+    fd["shard_cache_bytes"] = f.stats.cache_bytes;
+  });
   d["role"] = std::string("root");
-  d["pending"] = static_cast<int64_t>(pending_);
   d["group_queue_depth"] = static_cast<int64_t>(group_queue_.size());
   d["groups_submitted"] = s.groups_submitted;
   d["groups_completed"] = s.groups_completed;
-  d["tasks_submitted"] = static_cast<int64_t>(tasks_.size());
-  d["tasks_completed"] = s.tasks_completed;
-  d["duplicate_results"] = s.duplicate_results;
   d["requeued_groups"] = s.requeued_groups;
   d["foremen_accepted"] = s.foremen_accepted;
   d["foremen_lost"] = s.foremen_lost;
-  d["bytes_sent"] = s.bytes_sent;
-  d["bytes_received"] = s.bytes_received;
   d["stats_frames"] = s.stats_frames;
-  d["telemetry_frames"] = s.telemetry_frames;
-  serde::ValueList foremen;
-  for (const auto& [id, f] : conns_) {
-    serde::ValueDict fd;
-    fd["id"] = static_cast<int64_t>(id);
-    fd["name"] = f.name;
-    fd["alive"] = f.helloed && !f.conn->closed();
-    fd["wire_version"] = static_cast<int64_t>(f.version);
-    fd["groups_inflight"] = static_cast<int64_t>(f.groups.size());
-    fd["queued_bytes"] = static_cast<int64_t>(f.conn->queued_bytes());
-    fd["shipped_files"] = static_cast<int64_t>(f.shipped_files.size());
-    fd["shard_workers"] = static_cast<int64_t>(f.last_stats.workers);
-    fd["shard_pending"] = f.last_stats.pending;
-    fd["shard_cache_bytes"] = f.last_stats.cache_bytes;
-    fd["clock_offset_seconds"] = f.offset.offset();
-    foremen.push_back(serde::Value(std::move(fd)));
-  }
-  d["foremen"] = std::move(foremen);
   return serde::Value(std::move(d));
-}
-
-std::map<std::string, size_t> RootMaster::shard_loads() const {
-  std::map<std::string, size_t> out;
-  for (const auto& [id, f] : conns_) {
-    if (f.helloed && !f.conn->closed()) out[f.name] = f.groups.size();
-  }
-  return out;
 }
 
 }  // namespace lfm::fed

@@ -3,43 +3,34 @@
 //
 // A root master does not talk to workers. It shards *task groups* across N
 // fed::Foreman peers, each of which runs a full net::MasterService over its
-// own worker pool. Foremen connect inbound over the same framed transport
-// workers use (hello / file / task / result / control), plus the kStats
+// own worker pool. Foremen connect inbound through the same net::PeerHub a
+// MasterService serves its workers with (hello / file / task / result /
+// control, one heartbeat and idle policy, backpressure), plus the kStats
 // frame that aggregates shard telemetry upward — so one root sees the whole
 // tree's health without polling any worker directly.
 //
-// Routing is cache-affinity-aware: a group is steered to the foreman that
-// already holds the most of its cacheable input files (ship-once per link,
-// the same idiom wq::Master's file_holders_ index applies per worker),
-// tie-broken by lightest current load. Dispatches coalesce into v2 batch
-// frames per foreman link, and a link whose write queue is past the high
-// watermark is skipped until it drains (backpressure).
-//
-// Failure semantics extend the transport's exactly-once discipline one
-// level up: a dead foreman's in-flight groups requeue to sibling shards
-// (minus tasks already completed), and a straggler result arriving later
-// for a re-dispatched task is counted and discarded against the per-task
-// done flag. With a chaos::Journal attached, every completion is journaled
-// (write-ahead) and recover() re-arms the done-flag set from a previous
-// run's journal, so a restarted root never re-runs a task that already
-// completed — the done-flag path from src/chaos/ applied across shards.
+// What the root keeps is its group policy. Routing is cache-affinity-aware:
+// a group is steered to the foreman that already holds the most of its
+// cacheable input files (ship-once per link, the same idiom wq::Master's
+// file_holders_ index applies per worker), tie-broken by lightest current
+// load. A dead foreman's in-flight groups requeue to sibling shards (minus
+// tasks already completed); the net::DoneLedger's per-task done flags
+// discard a straggler's late result. With a chaos::Journal attached, every
+// completion is journaled (write-ahead) and recover() re-arms the done
+// flags from a previous run's journal, so a restarted root never re-runs a
+// task that already completed.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chaos/journal.h"
-#include "net/conn.h"
 #include "net/event_loop.h"
-#include "obs/clock.h"
+#include "net/peer_hub.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
 
@@ -60,21 +51,9 @@ struct TaskGroup {
   wq::FileSet files;  // master-staged inputs named by the tasks' infiles
 };
 
-struct RootMasterConfig {
-  uint16_t port = 0;  // 0 = ephemeral; read back via port()
-  std::string bind_addr = "127.0.0.1";
+struct RootMasterConfig : net::PeerHubConfig {
   // In-flight groups per foreman (group-level pipelining depth).
   int groups_per_foreman = 4;
-  // Task dispatches coalesced into one v2 batch frame per send.
-  size_t max_batch = 64;
-  // Stop assigning groups to a link whose unsent backlog exceeds this.
-  size_t write_high_watermark = 4u << 20;
-  double heartbeat_interval = 2.0;  // ping idle foremen this often
-  double idle_timeout = 30.0;       // close after this much silence (0 = off)
-  // Metrics sink: null records into the process-wide registry gated on
-  // obs::Recorder::enabled(); non-null records unconditionally (co-hosted
-  // fed components use namespaced obs::Metrics instances).
-  obs::Metrics* metrics = nullptr;
   // Write-ahead journal for completions (and foreman loss); optional.
   chaos::Journal* journal = nullptr;
   // Sink for kTelemetry frames relayed up the tree. The root adds its
@@ -101,27 +80,18 @@ struct RootStats {
   int64_t bytes_received = 0;
 };
 
-class RootMaster {
+class RootMaster : public net::PeerHub {
  public:
   RootMaster(net::EventLoop& loop, RootMasterConfig config = {});
-  ~RootMaster();
-
-  uint16_t port() const { return listener_.port(); }
 
   // Arm the done-flag set from a previous run's journal: any subsequently
   // submitted task whose id has a kCompleted record is marked done at
   // submit time and never dispatched. Call before submit().
-  void recover(const chaos::Journal& journal);
+  void recover(const chaos::Journal& journal) { ledger_.recover(journal); }
 
   // Queue a group for dispatch (loop thread only). Task ids must be unique
   // across all submitted groups.
   void submit(TaskGroup group);
-
-  // Fires once per completed task, on the loop thread (not for tasks
-  // short-circuited by recover()).
-  void set_on_result(std::function<void(const wq::ResultMessage&)> fn) {
-    on_result_ = std::move(fn);
-  }
 
   // Run the loop until every submitted task has a result, then send bye to
   // all foremen, flush, and return the aggregate stats. Throws lfm::Error
@@ -132,10 +102,10 @@ class RootMaster {
   // Abruptly close the k-th (by accept order) live foreman link, as a crash
   // would: its in-flight groups requeue to surviving siblings. Returns
   // false if no such link.
-  bool kill_foreman(size_t k);
+  bool kill_foreman(size_t k) { return drop(k); }
 
-  size_t pending_tasks() const { return pending_; }
-  int connected_foremen() const;
+  size_t pending_tasks() const { return ledger_.pending(); }
+  int connected_foremen() const { return connected(); }
   RootStats stats() const;
   // JSON snapshot for the /statusz endpoint: group/task progress plus
   // per-foreman liveness, in-flight groups, backlog, shard stats, and the
@@ -146,74 +116,28 @@ class RootMaster {
   // Groups currently in flight per live foreman, by name (root's own
   // bookkeeping, no telemetry lag) — fault-injection tests key off this.
   std::map<std::string, size_t> shard_loads() const;
-  // Results in submission order across all groups (default-constructed
-  // where not completed, including recover()-skipped tasks).
-  const std::vector<wq::ResultMessage>& results() const { return results_; }
 
  private:
-  struct ForemanConn {
-    std::shared_ptr<net::Connection> conn;
-    bool helloed = false;
-    wq::WireVersion version = wq::WireVersion::kV2;
-    std::string name;
-    std::set<size_t> groups;             // group indices in flight here
-    std::set<std::string> shipped_files; // cacheable files on this link
-    wq::StatsMessage last_stats;
-    double last_ping_sent = 0.0;
-    uint64_t ping_nonce = 0;
-    // Foreman-clock-minus-root-clock, fed from pongs carrying peer_time.
-    obs::ClockOffsetEstimator offset;
-  };
-
-  struct PendingTask {
-    wq::TaskMessage task;
-    size_t group = 0;
-    bool done = false;
-    double submitted_at = 0.0;  // EventLoop::now() at submit()
-  };
-
   struct Group {
-    std::string name;
     wq::FileSet files;
     std::vector<size_t> task_indices;
     size_t remaining = 0;   // tasks not yet done
     uint64_t assigned = 0;  // conn id currently running it (0 = queued)
   };
 
-  void count(const char* name, int64_t n = 1);
-  void observe(const char* name, double v, double lo, double hi);
-  void on_accept(int fd);
-  void on_message(uint64_t conn_id, net::Connection& conn, std::string&& wire);
-  void handle_result(ForemanConn& f, const wq::ResultMessage& msg);
-  void handle_stats(ForemanConn& f, const wq::StatsMessage& msg);
-  void handle_close(uint64_t conn_id, const std::string& reason);
-  void dispatch();
+  void dispatch(net::Peer* peer) override;
+  void settle(net::Peer& peer, size_t index) override;
+  void lost(net::Peer& f, const std::string& reason) override;
+  void on_stats(net::Peer& f, const wq::StatsMessage& msg) override;
   // Best open link for `g` by cache affinity, else nullptr.
-  ForemanConn* route(const Group& g);
-  void assign_group(ForemanConn& f, size_t group_index);
-  void send_files_for(ForemanConn& f, const Group& g);
-  void heartbeat();
-  void begin_finish();
-  void check_finished();
-  void absorb_conn_totals(const net::Connection& conn);
+  net::Peer* route(const Group& g);
+  void assign_group(net::Peer& f, size_t group_index);
 
-  net::EventLoop& loop_;
   RootMasterConfig config_;
-  net::Listener listener_;
-  std::map<uint64_t, ForemanConn> conns_;  // accept order == key order
-  uint64_t next_conn_id_ = 1;
-  std::vector<PendingTask> tasks_;
-  std::vector<wq::ResultMessage> results_;
+  std::vector<size_t> group_of_;  // group index, by task index
   std::vector<Group> groups_;
   std::deque<size_t> group_queue_;
-  std::unordered_map<uint64_t, size_t> index_by_task_id_;
-  std::unordered_set<uint64_t> recovered_done_;
-  std::function<void(const wq::ResultMessage&)> on_result_;
-  size_t pending_ = 0;
-  bool finishing_ = false;
-  bool timed_out_ = false;
-  uint64_t heartbeat_timer_ = 0;
-  RootStats stats_;
+  RootStats stats_;  // the group-level counters; stats() adds the rest
 };
 
 }  // namespace lfm::fed

@@ -3,501 +3,90 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/recorder.h"
-#include "obs/trace.h"
-#include "util/error.h"
-#include "util/hash.h"
-#include "util/log.h"
-
 namespace lfm::net {
 
-namespace {
-
-// The sink an instance records into: an explicitly configured registry
-// (always on — co-hosted fed components rely on it), else the process-wide
-// one gated on the recorder.
-obs::Metrics* metrics_sink(obs::Metrics* configured) {
-  if (configured != nullptr) return configured;
-  return obs::Recorder::enabled() ? &obs::Recorder::global().metrics() : nullptr;
-}
-
-void mark(const char* name, const std::string& detail, uint64_t tid) {
-  if (obs::Recorder::enabled()) {
-    obs::Recorder& r = obs::Recorder::global();
-    r.instant(obs::kPidHost, tid, r.now(), name, "net", "detail", detail);
-  }
-}
-
-}  // namespace
-
-// Deterministic, nonzero trace id for a task. Minted once where the task
-// enters the system (the root of whatever tree is running) and carried on
-// the wire from there, so every process stamps the same identity without
-// coordination. Derived from the task id alone — deterministic across
-// re-dispatches and restarts.
-uint64_t mint_trace_id(uint64_t task_id) {
-  const uint64_t id = hash_combine64(0x6c666d2d74726163ull, task_id);
-  return id == 0 ? 1 : id;
-}
-
-void MasterService::count(const char* name, int64_t n) {
-  if (obs::Metrics* m = metrics_sink(config_.metrics)) m->counter(name).add(n);
-}
-
-void MasterService::observe(const char* name, double v, double lo, double hi) {
-  if (obs::Metrics* m = metrics_sink(config_.metrics)) {
-    m->histogram(name, lo, hi).observe(v);
-  }
-}
-
 MasterService::MasterService(EventLoop& loop, MasterServiceConfig config)
-    : loop_(loop),
-      config_(config),
-      listener_(loop, config.port, config.bind_addr) {
-  listener_.set_on_accept([this](int fd) { on_accept(fd); });
-  listener_.start();
-  if (config_.heartbeat_interval > 0) {
-    heartbeat_timer_ =
-        loop_.run_every(config_.heartbeat_interval, [this] { heartbeat(); });
-  }
-}
-
-MasterService::~MasterService() {
-  if (heartbeat_timer_ != 0) loop_.cancel_timer(heartbeat_timer_);
-  for (auto& [id, w] : conns_) {
-    // Detach first: teardown close() must not re-enter handle_close over a
-    // half-destroyed map.
-    w.conn->set_on_close({});
-    if (!w.conn->closed()) w.conn->close("master shutdown");
-  }
-}
+    : PeerHub(loop, config, "net", config.persistent, nullptr,
+              config.on_telemetry),
+      config_(std::move(config)) {}
 
 void MasterService::submit(wq::TaskMessage task, wq::FileSet files) {
-  const size_t index = tasks_.size();
-  index_by_task_id_[task.task_id] = index;
-  // Trace minting happens here only when this service IS the root of the
-  // tree: tasks relayed down from a RootMaster already carry their id. The
-  // recorder gate keeps untraced runs' frames byte-identical (the trailing
-  // extension is only emitted for trace_id != 0).
-  if (task.trace_id == 0 && obs::Recorder::enabled()) {
-    task.trace_id = mint_trace_id(task.task_id);
-  }
-  PendingTask t{std::move(task), std::move(files), false, 0.0, 0.0};
-  t.submitted_at = EventLoop::now();
-  tasks_.push_back(std::move(t));
-  results_.emplace_back();
-  queue_.push_back(index);
-  ++pending_;
-  dispatch();
+  queue_.push_back(ledger_.add(std::move(task)));
+  files_.push_back(std::move(files));
+  dispatch(nullptr);
 }
 
-void MasterService::on_accept(int fd) {
-  const uint64_t id = next_conn_id_++;
-  auto conn = std::make_shared<Connection>(loop_, fd, id);
-  conn->set_on_message([this, id](Connection& c, std::string&& wire) {
-    on_message(id, c, std::move(wire));
-  });
-  conn->set_on_close([this, id](Connection&, const std::string& reason) {
-    // Defer: close() can fire from inside dispatch()'s iteration over
-    // conns_; mutating the map there would invalidate the iterator.
-    loop_.post([this, id, reason] { handle_close(id, reason); });
-  });
-  WorkerConn w;
-  w.conn = conn;
-  conns_.emplace(id, std::move(w));
-  ++stats_.connections_accepted;
-  count("net.accepts");
-  mark("net.accept", "conn " + std::to_string(id), id);
-  conn->start();
-}
-
-void MasterService::on_message(uint64_t conn_id, Connection& conn,
-                               std::string&& wire) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  WorkerConn& w = it->second;
-  count("net.frames_in");
-  switch (wq::classify(wire)) {
-    case wq::MessageKind::kHello: {
-      const wq::HelloMessage hello = wq::decode_hello(wire);
-      w.helloed = true;
-      w.version = hello.preferred;
-      w.name = hello.worker_name;
-      count("net.hellos");
-      mark("net.hello",
-           hello.worker_name + " v" +
-               std::to_string(static_cast<int>(hello.preferred)),
-           conn_id);
-      dispatch_to(w);
-      return;
-    }
-    case wq::MessageKind::kResult:
-    case wq::MessageKind::kResultBatch: {
-      if (!w.helloed) {
-        conn.close("result before hello");
-        return;
-      }
-      const std::vector<wq::ResultMessage> results =
-          wq::decode_result_batch(wire);
-      for (const wq::ResultMessage& msg : results) handle_result(w, msg);
-      if (!conn.closed()) dispatch_to(w);
-      check_finished();
-      return;
-    }
-    case wq::MessageKind::kControl: {
-      const wq::ControlMessage ctl = wq::decode_control(wire);
-      if (ctl.type == wq::ControlType::kPing) {
-        // Reply in the dialect the ping arrived in. When tracing, the pong
-        // also carries this side's clock so the pinger can estimate the
-        // inter-process offset (peer_time stays off the wire otherwise —
-        // untraced runs keep byte-identical control frames).
-        wq::ControlMessage pong{wq::ControlType::kPong, ctl.nonce,
-                                ctl.timestamp};
-        if (obs::Recorder::enabled()) pong.peer_time = EventLoop::now();
-        conn.send(wq::encode(pong, wq::detect_version(wire)));
-        count("net.frames_out");
-      } else if (ctl.type == wq::ControlType::kPong) {
-        if (ctl.nonce == w.ping_nonce && w.last_ping_sent > 0) {
-          const double now = EventLoop::now();
-          observe("net.rtt_seconds", now - w.last_ping_sent, 1e-6, 10.0);
-          if (ctl.peer_time != 0.0) {
-            w.offset.feed(w.last_ping_sent, ctl.peer_time, now);
-          }
-          w.last_ping_sent = 0;
-        }
-      }
-      return;
-    }
-    case wq::MessageKind::kTelemetry: {
-      wq::TelemetryMessage msg = wq::decode_telemetry(wire);
-      ++stats_.telemetry_frames;
-      count("net.telemetry_frames");
-      // Accumulate this hop's clock offset: the message arrives with the
-      // sender's cumulative estimate (0 for a worker's own events) and
-      // leaves with sender-clock-minus-THIS-clock added on top.
-      msg.clock_offset += w.offset.offset();
-      if (config_.on_telemetry) {
-        config_.on_telemetry(std::move(msg));
-      } else {
-        count("net.telemetry_dropped_frames");
-      }
-      return;
-    }
-    default:
-      conn.close("unexpected message kind from worker");
-      return;
-  }
-}
-
-void MasterService::handle_result(WorkerConn& w, const wq::ResultMessage& msg) {
-  auto it = index_by_task_id_.find(msg.task_id);
-  if (it == index_by_task_id_.end()) {
-    count("net.unknown_results");
-    return;
-  }
-  const size_t index = it->second;
-  PendingTask& t = tasks_[index];
-  if (t.done) {
-    // The task was re-dispatched after a drop and both attempts reported.
-    ++stats_.duplicate_results;
-    count("net.duplicate_results");
-    return;
-  }
-  t.done = true;
-  // Re-dispatch bookkeeping: the completing attempt may live on a different
-  // connection than an earlier one, but only this worker's inflight set can
-  // still hold the index (drops already requeued theirs).
-  w.inflight.erase(index);
-  results_[index] = msg;
-  ++stats_.tasks_completed;
-  --pending_;
-  count("net.results");
-  if (obs::Recorder::enabled() && t.task.trace_id != 0) {
-    obs::TraceScope scope(t.task.trace_id);
-    obs::Recorder& r = obs::Recorder::global();
-    const double now = EventLoop::now();
-    // Dispatch-to-result at this tier. A foreman's relay service emits this
-    // span in its own lane; together with the root's "task" span and the
-    // worker's lfm.run it forms the cross-process chain for one trace id.
-    if (t.dispatched_at > 0) {
-      r.complete(obs::kPidHost, t.task.task_id, t.dispatched_at,
-                 now - t.dispatched_at, "task.inflight", "net");
-    }
-    // Submit-to-result, only when this service minted the id itself (a
-    // relay tier did not see the true submit time; the root covers it).
-    if (!config_.persistent && t.submitted_at > 0) {
-      r.complete(obs::kPidHost, t.task.task_id, t.submitted_at,
-                 now - t.submitted_at, "task", "net");
-    }
-  }
-  if (on_result_) on_result_(results_[index]);
-}
-
-void MasterService::handle_close(uint64_t conn_id, const std::string& reason) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  WorkerConn& w = it->second;
-  absorb_conn_totals(*w.conn);
-  ++stats_.disconnects;
-  count("net.disconnects");
-  mark("net.disconnect", reason, conn_id);
-  if (!w.inflight.empty()) {
-    // At-least-once: everything this connection was running goes back to
-    // the front of the queue so a reconnecting (or sibling) worker retries
-    // it promptly.
-    stats_.requeued_tasks += static_cast<int64_t>(w.inflight.size());
-    count("net.requeued_tasks", static_cast<int64_t>(w.inflight.size()));
-    for (auto rit = w.inflight.rbegin(); rit != w.inflight.rend(); ++rit) {
-      if (!tasks_[*rit].done) queue_.push_front(*rit);
-    }
-  }
-  conns_.erase(it);
-  dispatch();
-  check_finished();
-}
-
-void MasterService::dispatch() {
-  for (auto& [id, w] : conns_) {
+void MasterService::dispatch(Peer* w) {
+  if (w != nullptr) return dispatch_to(*w);
+  for (auto& [id, peer] : peers_) {
     if (queue_.empty()) break;
-    dispatch_to(w);
+    dispatch_to(peer);
   }
 }
 
-void MasterService::send_files_for(WorkerConn& w, const PendingTask& t) {
-  for (const wq::TaskMessage::FileStanza& stanza : t.task.infiles) {
-    auto fit = t.files.find(stanza.name);
-    if (fit == t.files.end()) continue;  // not master-staged (worker-local)
-    if (stanza.cacheable && w.cached_files.count(stanza.name)) continue;
-    wq::FileMessage fm{stanza.name, stanza.cacheable, fit->second};
-    w.conn->send(wq::encode(fm, w.version));
-    ++stats_.files_sent;
-    count("net.files_sent");
-    count("net.frames_out");
-    if (stanza.cacheable) w.cached_files.insert(stanza.name);
+void MasterService::lost(Peer& w, const std::string& /*reason*/) {
+  // At-least-once: everything this connection was running goes back to the
+  // front of the queue so a reconnecting (or sibling) worker retries it
+  // promptly.
+  requeued_ += static_cast<int64_t>(w.work.size());
+  metrics_.count("requeued_tasks", static_cast<int64_t>(w.work.size()));
+  for (auto it = w.work.rbegin(); it != w.work.rend(); ++it) {
+    if (!ledger_[*it].done) queue_.push_front(*it);
   }
 }
 
-void MasterService::dispatch_to(WorkerConn& w) {
-  if (!w.helloed || w.conn->closed()) return;
-  while (!queue_.empty()) {
-    if (w.inflight.size() >= static_cast<size_t>(config_.tasks_per_worker)) {
-      return;
-    }
-    if (w.conn->queued_bytes() >= config_.write_high_watermark) {
-      count("net.backpressure_stalls");
-      return;
-    }
-    const size_t room = std::min(
-        config_.max_batch,
-        static_cast<size_t>(config_.tasks_per_worker) - w.inflight.size());
-    std::vector<wq::TaskMessage> batch;
+void MasterService::dispatch_to(Peer& w) {
+  const auto depth = static_cast<size_t>(config_.tasks_per_worker);
+  while (!queue_.empty() && can_take(w, depth)) {
+    const size_t room = std::min(config_.max_batch, depth - w.work.size());
+    std::vector<size_t> batch;
     while (batch.size() < room && !queue_.empty()) {
       const size_t index = queue_.front();
       queue_.pop_front();
-      if (tasks_[index].done) continue;  // completed while requeued
-      send_files_for(w, tasks_[index]);
+      if (ledger_[index].done) continue;  // completed while requeued
+      for (const wq::TaskMessage::FileStanza& stanza : ledger_[index].task.infiles) {
+        auto fit = files_[index].find(stanza.name);
+        if (fit == files_[index].end()) continue;  // worker-local input
+        send_file(w, stanza.name, stanza.cacheable, fit->second);
+      }
       if (w.conn->closed()) {
         // A send() failure mid-staging closed the connection; the index
-        // goes back so the deferred handle_close path can't miss it.
+        // goes back so the deferred close path can't miss it.
         queue_.push_front(index);
         return;
       }
-      tasks_[index].dispatched_at = EventLoop::now();
-      if (obs::Recorder::enabled() && tasks_[index].task.trace_id != 0) {
-        // The "ship" marker of the submit→ship→run→result chain, stamped
-        // with the task's trace id via the thread-local scope.
-        obs::TraceScope scope(tasks_[index].task.trace_id);
-        mark("net.dispatch", w.name, tasks_[index].task.task_id);
-      }
-      batch.push_back(tasks_[index].task);
-      w.inflight.insert(index);
+      batch.push_back(index);
+      w.work.insert(index);
     }
-    if (batch.empty()) return;
-    if (batch.size() > 1 && w.version == wq::WireVersion::kV2) {
-      w.conn->send(wq::encode_batch(batch, w.version));
-      count("net.frames_out");
-    } else {
-      for (const wq::TaskMessage& msg : batch) {
-        w.conn->send(wq::encode(msg, w.version));
-        count("net.frames_out");
-      }
-    }
-    count("net.dispatched_tasks", static_cast<int64_t>(batch.size()));
-    observe("net.batch_size", static_cast<double>(batch.size()), 1.0, 4096.0);
-    if (w.conn->closed()) return;
+    send_tasks(w, batch);
   }
-}
-
-void MasterService::heartbeat() {
-  const double now = EventLoop::now();
-  // Collect first: close() fires callbacks that mutate conns_ (deferred via
-  // post, but keep the iteration clean anyway).
-  std::vector<Connection*> to_ping;
-  std::vector<Connection*> to_drop;
-  for (auto& [id, w] : conns_) {
-    if (!w.helloed || w.conn->closed()) continue;
-    // Only idle connections: a worker grinding through a long task reads
-    // nothing until it finishes, and a ping backlog would look like death.
-    if (!w.inflight.empty()) continue;
-    if (config_.idle_timeout > 0 &&
-        now - w.conn->last_activity() > config_.idle_timeout) {
-      to_drop.push_back(w.conn.get());
-      continue;
-    }
-    w.ping_nonce += 1;
-    w.last_ping_sent = now;
-    wq::ControlMessage ping{wq::ControlType::kPing, w.ping_nonce, now};
-    to_ping.push_back(w.conn.get());
-    w.conn->send(wq::encode(ping, w.version));
-    count("net.pings");
-    count("net.frames_out");
-  }
-  for (Connection* c : to_drop) {
-    count("net.idle_closes");
-    c->close("idle-timeout");
-  }
-}
-
-void MasterService::begin_finish() {
-  finishing_ = true;
-  // No new workers are welcome once the bye sequence starts. Closing the
-  // listener also resets connections the kernel already completed into the
-  // backlog — otherwise a worker that idle-cycled its connection right at
-  // the end reconnects successfully, waits forever for a hello reply the
-  // stopped loop will never send, and deadlocks the whole tree against the
-  // parent's waitpid.
-  listener_.close();
-  for (auto& [id, w] : conns_) {
-    if (w.conn->closed()) continue;
-    wq::ControlMessage bye{wq::ControlType::kBye, 0, EventLoop::now()};
-    w.conn->send(wq::encode(bye, w.version));
-    count("net.frames_out");
-    if (obs::Recorder::enabled()) {
-      // Tracing runs leave the close to the worker: its bye handler ships a
-      // final kTelemetry frame before closing its end, and closing here
-      // would stop reading first and lose it. Untraced runs keep the
-      // historical prompt close.
-      continue;
-    }
-    w.conn->close_after_flush();
-  }
-}
-
-void MasterService::check_finished() {
-  if (!finishing_) {
-    // A persistent service never self-finishes: new work can still arrive
-    // from above, so only an explicit shutdown() starts the bye sequence.
-    if (config_.persistent) return;
-    if (pending_ != 0 || tasks_.empty()) return;
-    begin_finish();
-  }
-  if (conns_.empty()) loop_.stop();
-}
-
-void MasterService::shutdown() {
-  if (!finishing_) begin_finish();
-  if (conns_.empty()) loop_.stop();
 }
 
 NetMasterStats MasterService::run_until_complete(double timeout) {
-  if (config_.persistent) {
-    throw Error("net: run_until_complete on a persistent MasterService");
-  }
-  finishing_ = false;
-  timed_out_ = false;
-  if (pending_ == 0) {
-    check_finished();
-    if (!conns_.empty()) loop_.run();
-    return stats();
-  }
-  uint64_t watchdog = 0;
-  if (timeout > 0) {
-    watchdog = loop_.run_after(timeout, [this] {
-      timed_out_ = true;
-      loop_.stop();
-    });
-  }
-  loop_.run();
-  if (watchdog != 0) loop_.cancel_timer(watchdog);
-  if (timed_out_) {
-    throw Error("net: master run timed out with " + std::to_string(pending_) +
-                " tasks pending");
-  }
+  PeerHub::run_until_complete(timeout);
   return stats();
 }
 
-bool MasterService::drop_connection(size_t k) {
-  size_t seen = 0;
-  for (auto& [id, w] : conns_) {
-    if (w.conn->closed() || !w.helloed) continue;
-    if (seen++ == k) {
-      mark("net.injected_drop", "conn " + std::to_string(id), id);
-      count("net.injected_drops");
-      w.conn->close("injected drop");
-      return true;
-    }
-  }
-  return false;
-}
-
-int MasterService::connected_workers() const {
-  int n = 0;
-  for (const auto& [id, w] : conns_) {
-    if (w.helloed && !w.conn->closed()) ++n;
-  }
-  return n;
-}
-
-void MasterService::absorb_conn_totals(const Connection& conn) {
-  stats_.bytes_sent += conn.bytes_out();
-  stats_.bytes_received += conn.bytes_in();
-  stats_.messages_sent += conn.messages_out();
-  stats_.messages_received += conn.messages_in();
-  count("net.bytes_out", conn.bytes_out());
-  count("net.bytes_in", conn.bytes_in());
-}
-
 NetMasterStats MasterService::stats() const {
-  NetMasterStats s = stats_;
-  // Live connections have not been absorbed into the running totals yet.
-  for (const auto& [id, w] : conns_) {
-    s.bytes_sent += w.conn->bytes_out();
-    s.bytes_received += w.conn->bytes_in();
-    s.messages_sent += w.conn->messages_out();
-    s.messages_received += w.conn->messages_in();
-  }
+  NetMasterStats s;
+  static_cast<LinkTotals&>(s) = totals();
+  s.tasks_completed = ledger_.completed();
+  s.duplicate_results = ledger_.duplicates();
+  s.requeued_tasks = requeued_;
   return s;
 }
 
 serde::Value MasterService::statusz_value() const {
-  const NetMasterStats s = stats();
-  serde::ValueDict d;
+  serde::ValueDict d = statusz("workers", [](const Peer& w, serde::ValueDict& wd) {
+    wd["inflight"] = static_cast<int64_t>(w.work.size());
+    wd["cached_files"] = static_cast<int64_t>(w.files.size());
+  });
+  const LinkTotals t = totals();
   d["role"] = std::string(config_.persistent ? "foreman-service" : "master");
-  d["pending"] = static_cast<int64_t>(pending_);
   d["queue_depth"] = static_cast<int64_t>(queue_.size());
-  d["tasks_submitted"] = static_cast<int64_t>(tasks_.size());
-  d["tasks_completed"] = s.tasks_completed;
-  d["duplicate_results"] = s.duplicate_results;
-  d["requeued_tasks"] = s.requeued_tasks;
-  d["connections_accepted"] = s.connections_accepted;
-  d["disconnects"] = s.disconnects;
-  d["bytes_sent"] = s.bytes_sent;
-  d["bytes_received"] = s.bytes_received;
-  d["telemetry_frames"] = s.telemetry_frames;
-  serde::ValueList workers;
-  for (const auto& [id, w] : conns_) {
-    serde::ValueDict wd;
-    wd["id"] = static_cast<int64_t>(id);
-    wd["name"] = w.name;
-    wd["alive"] = w.helloed && !w.conn->closed();
-    wd["wire_version"] = static_cast<int64_t>(w.version);
-    wd["inflight"] = static_cast<int64_t>(w.inflight.size());
-    wd["queued_bytes"] = static_cast<int64_t>(w.conn->queued_bytes());
-    wd["cached_files"] = static_cast<int64_t>(w.cached_files.size());
-    wd["clock_offset_seconds"] = w.offset.offset();
-    workers.push_back(serde::Value(std::move(wd)));
-  }
-  d["workers"] = std::move(workers);
+  d["requeued_tasks"] = requeued_;
+  d["connections_accepted"] = t.connections_accepted;
+  d["disconnects"] = t.disconnects;
   return serde::Value(std::move(d));
 }
 

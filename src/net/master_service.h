@@ -1,73 +1,39 @@
-// MasterService: real-socket task dispatch (DESIGN.md §13).
+// MasterService: real-socket task dispatch to worker processes (DESIGN.md
+// §13).
 //
 // Serves the Work Queue dialogue the simulated wq::Master only accounts
-// for: workers connect over TCP, introduce themselves with a hello (which
-// pins the wire version spoken to them — version negotiation), receive
-// staged input files and task dispatches, and stream results back. The
-// dispatcher drains the ready queue into per-worker sends, coalescing up to
-// max_batch dispatches into one v2 batch frame, and consults each
-// connection's write-queue depth before assigning more work (backpressure:
-// a worker that stops reading stops receiving tasks, not the whole
-// master).
-//
-// Failure semantics are exactly-once on results, at-least-once on
-// attempts: every task completes exactly once at the master. A dropped
-// connection requeues its in-flight tasks; a result arriving later from a
-// reconnected worker that had already been re-dispatched elsewhere is
-// counted and discarded as a duplicate. Idle connections are pinged every
-// heartbeat_interval (pongs feed the net.rtt_seconds histogram) and closed
-// after idle_timeout of silence — a dead peer cannot hold the run hostage.
+// for: workers connect over TCP, receive staged input files and task
+// dispatches, and stream results back. The link plumbing — hello and
+// version negotiation, heartbeats, the idle and backpressure policy, the
+// bye sequence — is net::PeerHub's, and exactly-once completion is
+// net::DoneLedger's. What remains here is the dispatch policy: a FIFO ready
+// queue drained fill-first into each worker's pipeline (tasks_per_worker in
+// flight, up to max_batch per v2 batch frame), cacheable input files
+// shipped once per connection, and a dropped connection's in-flight tasks
+// requeued at the front of the queue (at-least-once attempts).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "net/conn.h"
 #include "net/event_loop.h"
-#include "obs/clock.h"
+#include "net/peer_hub.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
 
-namespace lfm::obs {
-class Metrics;
-}  // namespace lfm::obs
-
 namespace lfm::net {
 
-// Deterministic, nonzero trace id for a task (derived from its id alone).
-// Minted at whatever process is the root of the running tree — a standalone
-// MasterService or a fed::RootMaster — when tracing is enabled, then
-// carried in the task/result frames' trailing extension fields.
-uint64_t mint_trace_id(uint64_t task_id);
-
-struct MasterServiceConfig {
-  uint16_t port = 0;  // 0 = ephemeral; read back via port()
-  std::string bind_addr = "127.0.0.1";
+struct MasterServiceConfig : PeerHubConfig {
   // In-flight dispatches per connection (pipelining depth).
   int tasks_per_worker = 8;
-  // Dispatches coalesced into one v2 batch frame per send.
-  size_t max_batch = 64;
-  // Stop assigning work to a connection whose unsent backlog exceeds this.
-  size_t write_high_watermark = 4u << 20;
-  double heartbeat_interval = 2.0;  // ping idle connections this often
-  double idle_timeout = 30.0;       // close after this much silence (0 = off)
   // A persistent service never declares the run over on its own: draining
   // the queue does NOT send bye or stop the loop, because more submissions
   // may arrive from above (a fed::Foreman relaying for a RootMaster). The
   // owner ends the run explicitly with shutdown().
   bool persistent = false;
-  // Metrics sink. Null records into the process-wide registry gated on
-  // obs::Recorder::enabled() (the historical behaviour); non-null records
-  // unconditionally into the given instance, which is how co-hosted fed
-  // components keep their "net.*" series apart (obs::Metrics prefixes).
-  obs::Metrics* metrics = nullptr;
   // Sink for kTelemetry frames shipped by workers. The service adds its
   // per-connection clock-offset estimate to the message's cumulative
   // clock_offset before invoking, so a relay chain accumulates the full
@@ -76,35 +42,19 @@ struct MasterServiceConfig {
   std::function<void(wq::TelemetryMessage&&)> on_telemetry;
 };
 
-struct NetMasterStats {
+struct NetMasterStats : LinkTotals {
   int64_t tasks_completed = 0;
   int64_t duplicate_results = 0;  // results for already-completed tasks
   int64_t requeued_tasks = 0;     // in-flight dispatches returned by drops
-  int64_t connections_accepted = 0;
-  int64_t disconnects = 0;
-  int64_t files_sent = 0;
-  int64_t bytes_sent = 0;
-  int64_t bytes_received = 0;
-  int64_t messages_sent = 0;
-  int64_t messages_received = 0;
-  int64_t telemetry_frames = 0;  // kTelemetry frames received from workers
 };
 
-class MasterService {
+class MasterService : public PeerHub {
  public:
   MasterService(EventLoop& loop, MasterServiceConfig config = {});
-  ~MasterService();
-
-  uint16_t port() const { return listener_.port(); }
 
   // Queue a task (with its transferable input files) for dispatch. Safe
   // before or during run_until_complete (loop thread only).
   void submit(wq::TaskMessage task, wq::FileSet files = {});
-
-  // Fires once per completed task, on the loop thread.
-  void set_on_result(std::function<void(const wq::ResultMessage&)> fn) {
-    on_result_ = std::move(fn);
-  }
 
   // Run the loop until every submitted task has a result, then send bye to
   // all workers, flush, and return the aggregate stats. Throws lfm::Error
@@ -113,78 +63,29 @@ class MasterService {
   // shutdown() itself.
   NetMasterStats run_until_complete(double timeout = 0.0);
 
-  // End a persistent run: send bye to every worker, close connections after
-  // their write queues flush, and stop the loop once the last one is gone.
-  // Idempotent; also usable mid-run on a non-persistent service.
-  void shutdown();
-
   // --- fault injection & introspection -------------------------------------
-  // Abruptly close the k-th (by accept order) live worker connection, as a
-  // network fault would: its in-flight tasks requeue, the worker is
-  // expected to reconnect with backoff. Returns false if no such
-  // connection.
-  bool drop_connection(size_t k);
+  // Abruptly close the k-th (by accept order) live worker connection: its
+  // in-flight tasks requeue, the worker is expected to reconnect with
+  // backoff. Returns false if no such connection.
+  bool drop_connection(size_t k) { return drop(k); }
 
-  size_t pending() const { return pending_; }
-  int connected_workers() const;
+  size_t pending() const { return ledger_.pending(); }
+  int connected_workers() const { return connected(); }
   NetMasterStats stats() const;
   // JSON snapshot for the /statusz endpoint: queue depth, completion
   // counts, and per-worker liveness / in-flight / backlog.
   serde::Value statusz_value() const;
-  // Results in submission order (default-constructed where not completed).
-  const std::vector<wq::ResultMessage>& results() const { return results_; }
 
  private:
-  struct WorkerConn {
-    std::shared_ptr<Connection> conn;
-    bool helloed = false;
-    wq::WireVersion version = wq::WireVersion::kV2;
-    std::string name;
-    std::set<size_t> inflight;           // task indices dispatched here
-    std::set<std::string> cached_files;  // cacheable files already shipped
-    double last_ping_sent = 0.0;
-    uint64_t ping_nonce = 0;
-    // Worker-clock-minus-local-clock, fed from pongs that carry peer_time.
-    obs::ClockOffsetEstimator offset;
-  };
+  void dispatch(Peer* w) override;
+  void settle(Peer& w, size_t index) override { w.work.erase(index); }
+  void lost(Peer& w, const std::string& reason) override;
+  void dispatch_to(Peer& w);
 
-  struct PendingTask {
-    wq::TaskMessage task;
-    wq::FileSet files;
-    bool done = false;
-    double submitted_at = 0.0;   // EventLoop::now() at submit()
-    double dispatched_at = 0.0;  // last dispatch (re-dispatch overwrites)
-  };
-
-  void count(const char* name, int64_t n = 1);
-  void observe(const char* name, double v, double lo, double hi);
-  void begin_finish();
-  void on_accept(int fd);
-  void on_message(uint64_t conn_id, Connection& conn, std::string&& wire);
-  void handle_result(WorkerConn& w, const wq::ResultMessage& msg);
-  void handle_close(uint64_t conn_id, const std::string& reason);
-  void dispatch();
-  void dispatch_to(WorkerConn& w);
-  void send_files_for(WorkerConn& w, const PendingTask& t);
-  void heartbeat();
-  void check_finished();
-  void absorb_conn_totals(const Connection& conn);
-
-  EventLoop& loop_;
   MasterServiceConfig config_;
-  Listener listener_;
-  std::map<uint64_t, WorkerConn> conns_;  // accept order == key order
-  uint64_t next_conn_id_ = 1;
-  std::vector<PendingTask> tasks_;
-  std::vector<wq::ResultMessage> results_;
+  std::vector<wq::FileSet> files_;  // staged inputs, by task index
   std::deque<size_t> queue_;
-  std::unordered_map<uint64_t, size_t> index_by_task_id_;
-  std::function<void(const wq::ResultMessage&)> on_result_;
-  size_t pending_ = 0;
-  bool finishing_ = false;
-  bool timed_out_ = false;
-  uint64_t heartbeat_timer_ = 0;
-  NetMasterStats stats_;
+  int64_t requeued_ = 0;
 };
 
 }  // namespace lfm::net

@@ -1,149 +1,28 @@
 #include "net/worker_client.h"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "net/socket.h"
-#include "obs/collector.h"
 #include "obs/recorder.h"
-#include "util/error.h"
-#include "util/log.h"
 
 namespace lfm::net {
 
-namespace {
-
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-chaos::RetryPolicy default_reconnect_policy() {
-  chaos::RetryPolicy p;
-  p.backoff_base = 0.02;
-  p.backoff_multiplier = 2.0;
-  p.backoff_max = 1.0;
-  p.jitter_fraction = 0.25;
-  return p;
-}
-
 WorkerClient::WorkerClient(WorkerClientOptions options)
-    : options_(std::move(options)), worker_(options_.worker) {}
+    : Uplink({options.name, options.host, options.port, options.wire_version,
+              options.capacity, options.reconnect,
+              options.max_reconnect_attempts, options.idle_timeout,
+              options.handshake_timeout,
+              options.telemetry_backpressure_bytes},
+             TierMetrics(nullptr, "worker")),
+      options_(std::move(options)),
+      worker_(options_.worker) {}
 
 int64_t WorkerClient::run() {
-  bye_ = false;
-  gave_up_ = false;
-  attempt_ = 0;
-  if (options_.idle_timeout > 0) {
-    const double check = std::max(0.25, options_.idle_timeout / 4.0);
-    idle_timer_ = loop_.run_every(check, [this] {
-      if (!conn_ || conn_->closed()) return;
-      const double last = std::max(conn_->last_activity(), last_send_);
-      if (EventLoop::now() - last > options_.idle_timeout) {
-        conn_->close("idle-timeout");
-      }
-    });
-  }
-  if (options_.telemetry_interval > 0 && obs::Recorder::enabled()) {
-    telemetry_timer_ = loop_.run_every(options_.telemetry_interval,
-                                       [this] { ship_telemetry(); });
-  }
-  try_connect();
-  loop_.run();
-  if (idle_timer_ != 0) {
-    loop_.cancel_timer(idle_timer_);
-    idle_timer_ = 0;
-  }
-  if (telemetry_timer_ != 0) {
-    loop_.cancel_timer(telemetry_timer_);
-    telemetry_timer_ = 0;
-  }
-  if (conn_ && !conn_->closed()) conn_->close("client shutdown");
-  conn_.reset();
-  if (gave_up_ && !ever_connected_) {
-    throw Error("net: worker \"" + options_.name + "\" could not reach master " +
-                options_.host + ":" + std::to_string(options_.port));
-  }
+  Uplink::run(obs::Recorder::enabled() ? options_.telemetry_interval : 0.0);
   return executed_;
 }
 
-void WorkerClient::stop() {
-  stopped_.store(true);
-  loop_.post([this] {
-    if (conn_ && !conn_->closed()) conn_->close("stopped");
-    loop_.stop();
-  });
-}
-
-void WorkerClient::try_connect() {
-  if (stopped_.load()) {
-    loop_.stop();
-    return;
-  }
-  const int fd = connect_tcp(options_.host, options_.port);
-  if (fd < 0) {
-    ++attempt_;
-    schedule_reconnect("connect failed");
-    return;
-  }
-  if (ever_connected_) ++reconnects_;
-  ever_connected_ = true;
-  // Deliberately NOT resetting attempt_ here: a successful connect proves
-  // only that something accepted — the budget replenishes on completed work
-  // (handle_tasks), so an accept-then-drop flapper still exhausts it.
-  conn_ = std::make_shared<Connection>(loop_, fd, next_conn_id_++);
-  conn_->set_on_message(
-      [this](Connection& c, std::string&& wire) { on_message(c, std::move(wire)); });
-  conn_->set_on_close([this](Connection&, const std::string& reason) {
-    loop_.post([this, reason] {
-      if (bye_ || stopped_.load()) {
-        loop_.stop();
-        return;
-      }
-      ++attempt_;
-      schedule_reconnect(reason);
-    });
-  });
-  conn_->start();
-  // The hello travels in the preferred dialect itself — receiving it both
-  // names the version and demonstrates the worker speaks it.
-  wq::HelloMessage hello{options_.name, options_.wire_version, options_.capacity};
-  conn_->send(wq::encode(hello, options_.wire_version));
-  last_send_ = EventLoop::now();
-  if (options_.handshake_timeout > 0) {
-    std::weak_ptr<Connection> weak = conn_;
-    loop_.run_after(options_.handshake_timeout, [this, weak] {
-      const auto c = weak.lock();
-      if (!c || c != conn_ || c->closed()) return;
-      if (c->messages_in() == 0) c->close("handshake-timeout");
-    });
-  }
-}
-
-void WorkerClient::schedule_reconnect(const std::string& reason) {
-  if (attempt_ > options_.max_reconnect_attempts) {
-    LFM_WARN("net", "worker " + options_.name + " giving up after " +
-                        std::to_string(attempt_ - 1) + " failed reconnects (" +
-                        reason + ")");
-    gave_up_ = true;
-    loop_.stop();
-    return;
-  }
-  const double delay =
-      options_.reconnect.backoff_delay(fnv1a(options_.name), attempt_ - 1);
-  loop_.run_after(delay, [this] { try_connect(); });
-}
-
-void WorkerClient::on_message(Connection& conn, std::string&& wire) {
+void WorkerClient::on_frame(Connection& conn, std::string&& wire) {
   switch (wq::classify(wire)) {
     case wq::MessageKind::kFile: {
       wq::FileMessage fm = wq::decode_file(wire);
@@ -153,35 +32,23 @@ void WorkerClient::on_message(Connection& conn, std::string&& wire) {
     }
     case wq::MessageKind::kTask:
     case wq::MessageKind::kTaskBatch:
-      handle_tasks(conn, wire);
+      handle_tasks(wire);
       return;
-    case wq::MessageKind::kControl: {
-      const wq::ControlMessage ctl = wq::decode_control(wire);
-      if (ctl.type == wq::ControlType::kPing) {
-        wq::ControlMessage pong{wq::ControlType::kPong, ctl.nonce, ctl.timestamp};
-        // Carry this side's clock so the master can estimate the offset;
-        // emitted only on tracing runs (the field stays off the wire
-        // otherwise, keeping untraced control frames byte-identical).
-        if (obs::Recorder::enabled()) pong.peer_time = EventLoop::now();
-        conn.send(wq::encode(pong, wq::detect_version(wire)));
-        last_send_ = EventLoop::now();
-      } else if (ctl.type == wq::ControlType::kBye) {
-        bye_ = true;
-        // Final drain: whatever the recorder buffered since the last result
-        // (span ends, shutdown instants) still travels before the close —
-        // close_after_flush lets the frame leave the socket first.
-        ship_telemetry();
-        conn.close_after_flush();
-      }
-      return;
-    }
     default:
       conn.close("unexpected message kind from master");
       return;
   }
 }
 
-void WorkerClient::handle_tasks(Connection& conn, const std::string& wire) {
+void WorkerClient::on_bye(Connection& conn) {
+  // Final drain: whatever the recorder buffered since the last result (span
+  // ends, shutdown instants) still travels before the close —
+  // close_after_flush lets the frame leave the socket first.
+  ship_telemetry();
+  conn.close_after_flush();
+}
+
+void WorkerClient::handle_tasks(const std::string& wire) {
   const wq::WireVersion reply_version = wq::detect_version(wire);
   const std::vector<wq::TaskMessage> tasks = wq::decode_task_batch(wire);
   std::vector<wq::ResultMessage> results;
@@ -212,51 +79,19 @@ void WorkerClient::handle_tasks(Connection& conn, const std::string& wire) {
       }
     }
   }
-  if (conn.closed()) return;
-  if (results.size() > 1 && reply_version == wq::WireVersion::kV2) {
-    conn.send(wq::encode_batch(results, reply_version));
-  } else {
-    for (const wq::ResultMessage& r : results) {
-      conn.send(wq::encode(r, reply_version));
-    }
-  }
-  last_send_ = EventLoop::now();
+  if (link() == nullptr) return;
+  send_results(results, reply_version);
   // Completed work restores the full reconnect budget: the link is proven
   // end-to-end (task in, result out), so future drops start from zero.
-  attempt_ = 0;
+  progress();
   // Ship the spans those tasks just recorded while the results are still in
   // flight — the master's collector sees a task's run span arrive with (or
   // just behind) its result rather than a telemetry interval later.
   ship_telemetry();
 }
 
-void WorkerClient::ship_telemetry() {
-  if (!obs::Recorder::enabled()) return;
-  if (!conn_ || conn_->closed()) return;
-  if (options_.wire_version != wq::WireVersion::kV2) return;  // v2-only frame
-  obs::Recorder& r = obs::Recorder::global();
-  if (r.event_count() == 0 && telemetry_dropped_ == 0) return;
-  if (conn_->queued_bytes() > options_.telemetry_backpressure_bytes) {
-    // Backpressure: the link is already choking on results/files. Trace
-    // events are the one payload that may be discarded — drop the batch,
-    // remember how much, and report it in the next frame that does ship.
-    const std::vector<obs::TraceEvent> dropped = r.drain_events();
-    telemetry_dropped_ += static_cast<int64_t>(dropped.size());
-    r.metrics().counter("obs.telemetry_dropped")
-        .add(static_cast<int64_t>(dropped.size()));
-    return;
-  }
-  wq::TelemetryMessage msg;
-  msg.source = options_.name;
-  msg.process_id = static_cast<uint64_t>(::getpid());
-  msg.clock_offset = 0.0;  // the receiving hop adds its estimate
-  msg.dropped = telemetry_dropped_;
-  telemetry_dropped_ = 0;
-  msg.events = obs::to_telemetry(r.drain_events());
-  msg.counters = r.metrics().counters();
-  msg.gauges = r.metrics().gauges();
-  conn_->send(wq::encode(msg, wq::WireVersion::kV2));
-  last_send_ = EventLoop::now();
+void WorkerClient::count_dropped(int64_t events) {
+  obs::Recorder::global().metrics().counter("obs.telemetry_dropped").add(events);
 }
 
 }  // namespace lfm::net

@@ -9,44 +9,24 @@
 // arrived in. Pings are answered with pongs; bye means the run is over:
 // drain and return.
 //
-// A connection that dies without a bye is treated as a network fault: the
-// client reconnects with chaos::RetryPolicy exponential backoff (jitter
-// included, deterministically seeded), giving the transport the same
-// recovery discipline the simulated master applies to task retries. The
-// cached FileSet survives reconnects; the master re-stages whatever the
+// The upward link — connect, hello, pings, reconnect with backoff under a
+// budget refilled only by completed tasks, handshake and idle timeouts — is
+// net::Uplink's; a connection that dies without a bye is a network fault.
+// The cached FileSet survives reconnects; the master re-stages whatever the
 // fresh connection is missing.
-//
-// The reconnect budget (max_reconnect_attempts) counts failures — failed
-// connects plus unexpected closes — since the last successfully completed
-// task, and resets when a task completes. A bare TCP accept does NOT reset
-// it: against a master that accepts and immediately drops (a crash loop, a
-// misrouted port) the client must eventually give up rather than flap
-// forever. Conversely a long-lived worker that keeps finishing tasks never
-// exhausts the budget, no matter how many sparse, unrelated disconnects it
-// weathers over hours — each completion proves the link works and restores
-// the full budget.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "alloc/resources.h"
 #include "chaos/retry.h"
-#include "net/conn.h"
-#include "net/event_loop.h"
+#include "net/uplink.h"
 #include "wq/protocol.h"
 #include "wq/worker.h"
 
 namespace lfm::net {
-
-// Reconnect backoff used when the options don't override it: 20 ms doubling
-// to 1 s with 25% deterministic jitter. (RetryPolicy's own default of
-// backoff_base == 0 — immediate, seed-faithful requeue — would spin against
-// a dead master.)
-chaos::RetryPolicy default_reconnect_policy();
 
 struct WorkerClientOptions {
   std::string host = "127.0.0.1";
@@ -63,16 +43,10 @@ struct WorkerClientOptions {
   chaos::RetryPolicy reconnect = default_reconnect_policy();
   // Consecutive failed connect attempts before run() gives up.
   int max_reconnect_attempts = 30;
-  // Reconnect if the master goes silent this long (0 = off). Generous by
-  // default: an idle-but-alive master pings well inside this.
-  double idle_timeout = 60.0;
-  // Give up on a connection that never answers the hello this long after
-  // connect (0 = off). Tighter than idle_timeout: a live master replies to
-  // a hello immediately, so a silent accept is a dead one — typically a
-  // connection the kernel completed into the backlog of a listener whose
-  // owner already stopped serving it. Counts against the reconnect budget
-  // like any other drop.
-  double handshake_timeout = 5.0;
+  // Reconnect if the link goes silent this long, or if the master never
+  // answers the hello within handshake_timeout (0 = off; see net::Uplink).
+  double idle_timeout = kDefaultIdleTimeout;
+  double handshake_timeout = kDefaultHandshakeTimeout;
   // Telemetry shipping (tracing runs only; inert while the obs recorder is
   // disabled). Buffered trace events drain upward in kTelemetry frames
   // after each result send, every telemetry_interval seconds (0 = no
@@ -83,7 +57,7 @@ struct WorkerClientOptions {
   size_t telemetry_backpressure_bytes = 4u << 20;
 };
 
-class WorkerClient {
+class WorkerClient : public Uplink {
  public:
   explicit WorkerClient(WorkerClientOptions options);
 
@@ -92,43 +66,20 @@ class WorkerClient {
   // Throws lfm::Error if the master was never reached at all.
   int64_t run();
 
-  // Thread-safe: make run() return after the current callback.
-  void stop();
-
   int64_t tasks_executed() const { return executed_; }
-  int64_t reconnects() const { return reconnects_; }
-  // True when run() ended by exhausting the reconnect budget (as opposed to
-  // a bye or stop()).
-  bool gave_up() const { return gave_up_; }
-  // Failed connects + unexpected closes since the last completed task.
-  int failures_since_progress() const { return attempt_; }
-  int64_t telemetry_dropped() const { return telemetry_dropped_; }
 
  private:
-  void try_connect();
-  void schedule_reconnect(const std::string& reason);
-  void on_message(Connection& conn, std::string&& wire);
-  void handle_tasks(Connection& conn, const std::string& wire);
-  void ship_telemetry();
+  void on_frame(Connection& conn, std::string&& wire) override;
+  void on_bye(Connection& conn) override;
+  void on_tick() override { ship_telemetry(); }
+  void count_dropped(int64_t events) override;
+  void handle_tasks(const std::string& wire);
 
   WorkerClientOptions options_;
-  EventLoop loop_;
   wq::LocalWorker worker_;
-  std::shared_ptr<Connection> conn_;
   wq::FileSet files_;
   std::map<std::string, bool> file_cacheable_;
-  uint64_t next_conn_id_ = 1;
-  int attempt_ = 0;  // failures since the last completed task (see above)
-  bool ever_connected_ = false;
-  bool bye_ = false;
-  bool gave_up_ = false;
-  std::atomic<bool> stopped_{false};
   int64_t executed_ = 0;
-  int64_t reconnects_ = 0;
-  double last_send_ = 0.0;
-  uint64_t idle_timer_ = 0;
-  uint64_t telemetry_timer_ = 0;
-  int64_t telemetry_dropped_ = 0;  // events discarded under backpressure
 };
 
 }  // namespace lfm::net

@@ -6,11 +6,16 @@
 // bit-identical to an in-process reference execution.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +25,7 @@
 #include "chaos/journal.h"
 #include "fed/foreman.h"
 #include "fed/root_master.h"
+#include "net/master_service.h"
 #include "net/socket.h"
 #include "net/worker_client.h"
 #include "obs/collector.h"
@@ -269,6 +275,110 @@ TEST(Federation, JournalDoneFlagsSurviveRestartExactlyOnce) {
   EXPECT_EQ(foreman.tasks_received(), 1) << "a recovered task was re-dispatched";
   ASSERT_EQ(root.results().size(), 4u);
   EXPECT_EQ(root.results()[3].payload, (serde::Bytes{'p', 'o', 'n', 'g'}));
+}
+
+// --- one link policy for both dispatch tiers ---------------------------------
+
+void run_for(net::EventLoop& loop, double seconds) {
+  loop.run_after(seconds, [&loop] { loop.stop(); });
+  loop.run();
+}
+
+// A raw peer that says hello and then never reads or writes again — a
+// worker (or foreman) stuck inside a long synchronous execution looks
+// exactly like this from the tier's side.
+struct SilentPeer {
+  SilentPeer(uint16_t port, const std::string& name)
+      : fd(net::connect_tcp("127.0.0.1", port)) {
+    const std::string hello = wq::encode(
+        wq::HelloMessage{name, wq::WireVersion::kV2, {1.0, 1e9, 1e9}},
+        wq::WireVersion::kV2);
+    EXPECT_EQ(::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(hello.size()));
+  }
+  ~SilentPeer() { ::close(fd); }
+  // True once the tier has closed its end (after whatever it queued).
+  bool closed_by_tier() const {
+    char buf[4096];
+    while (true) {
+      const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+      if (n > 0) continue;
+      return n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    }
+  }
+  int fd;
+};
+
+TEST(PeerHub, SameIdlePolicyOnBothTiers) {
+  // One rule for MasterService and RootMaster alike: a link with work in
+  // flight is neither pinged nor idle-closed, since its peer may be deep in
+  // an execution that reads nothing; a silent link without work is closed
+  // after idle_timeout.
+  const auto check = [](net::EventLoop& loop, uint16_t port,
+                        const std::function<int()>& connected,
+                        const char* tier) {
+    SilentPeer busy(port, "busy");
+    run_for(loop, 0.1);  // the hello lands and the only work goes to `busy`
+    SilentPeer idle(port, "idle");
+    run_for(loop, 0.8);  // several idle timeouts
+    EXPECT_FALSE(busy.closed_by_tier()) << tier << ": busy link was closed";
+    EXPECT_TRUE(idle.closed_by_tier()) << tier << ": idle link stayed open";
+    EXPECT_EQ(connected(), 1) << tier;
+  };
+  {
+    net::EventLoop loop;
+    net::MasterServiceConfig mc;
+    mc.heartbeat_interval = 0.05;
+    mc.idle_timeout = 0.2;
+    net::MasterService master(loop, mc);
+    master.submit(echo_task(1));
+    check(loop, master.port(), [&] { return master.connected_workers(); },
+          "MasterService");
+  }
+  {
+    net::EventLoop loop;
+    RootMasterConfig rc;
+    rc.heartbeat_interval = 0.05;
+    rc.idle_timeout = 0.2;
+    RootMaster root(loop, rc);
+    TaskGroup group;
+    group.name = "busy";
+    group.tasks.push_back(echo_task(1));
+    root.submit(std::move(group));
+    check(loop, root.port(), [&] { return root.connected_foremen(); },
+          "RootMaster");
+  }
+}
+
+TEST(Foreman, GivesUpOnARootThatNeverSpeaks) {
+  // The kernel completes a connect into a listen backlog even when nobody
+  // accepts, so the foreman's hello goes unanswered forever. The handshake
+  // timeout must drop that link and, with no reconnect budget, give up —
+  // without it run() never returns (hence the watchdog).
+  const int lfd = net::listen_tcp(0);
+  obs::Metrics m("silent.");
+  ForemanConfig fc;
+  fc.name = "fs";
+  fc.root_port = net::local_port(lfd);
+  fc.max_reconnect_attempts = 0;
+  fc.metrics = &m;
+  Foreman foreman(fc);
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    foreman.run();
+    returned.store(true);
+  });
+  // The handshake timeout is 5 s; 30 s means it never fired.
+  for (int i = 0; i < 300 && !returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  const bool hung = !returned.load();
+  if (hung) foreman.stop();
+  runner.join();
+  ::close(lfd);
+  EXPECT_FALSE(hung) << "Foreman::run() waited on a silent root";
+  EXPECT_TRUE(foreman.gave_up());
+  EXPECT_EQ(m.counter("foreman.reconnect_give_ups").value(), 1);
 }
 
 // --- end-to-end: root <-> forked foreman processes <-> forked workers --------

@@ -849,8 +849,50 @@ TEST(WorkerClient, GivesUpWhenMasterNeverAppears) {
   fast.backoff_base = 0.001;
   fast.backoff_max = 0.002;
   options.reconnect = fast;
+  // The give-up is a counter, not only a WARN line. A worker records into
+  // the process-wide registry while the recorder is enabled.
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.set_enabled(true);
+  obs::Counter& give_ups = rec.metrics().counter("worker.reconnect_give_ups");
+  const int64_t before = give_ups.value();
   WorkerClient client(options);
   EXPECT_THROW(client.run(), Error);
+  EXPECT_EQ(give_ups.value() - before, 1);
+  rec.set_enabled(false);
+  rec.clear();
+}
+
+TEST(MasterService, OnResultCallbackMaySubmitAndStillReadItsResult) {
+  // A callback that submits more work grows the master's result table. The
+  // result it was handed must stay readable after the submit: it used to
+  // point into that table, and the growth freed it (caught by ASan).
+  EventLoop loop;
+  MasterService master(loop, {});
+  const uint64_t kTasks = 40;
+  uint64_t next_id = 1;
+  master.submit(simple_task(next_id++));
+  std::vector<uint64_t> seen;
+  const serde::Bytes ok{'o', 'k'};
+  master.set_on_result([&](const wq::ResultMessage& r) {
+    if (next_id <= kTasks) master.submit(simple_task(next_id++));
+    seen.push_back(r.task_id);
+    EXPECT_EQ(r.payload, ok);
+  });
+  std::thread worker([port = master.port(), ok] {
+    WorkerClientOptions options;
+    options.port = port;
+    options.name = "echo";
+    options.echo_results = true;
+    options.echo_payload = ok;
+    WorkerClient client(options);
+    client.run();
+  });
+  const NetMasterStats stats = master.run_until_complete(60.0);
+  worker.join();
+  EXPECT_EQ(stats.tasks_completed, static_cast<int64_t>(kTasks));
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), kTasks);
+  for (uint64_t i = 0; i < kTasks; ++i) EXPECT_EQ(seen[i], i + 1);
 }
 
 }  // namespace
