@@ -51,6 +51,9 @@ void Foreman::on_connect() {
   // Results that completed while the link was down travel on the fresh
   // connection; the root's done flags absorb any duplicates.
   flush_results();
+  // The shard announces its state on joining rather than a stats interval
+  // later: a run shorter than one interval still reaches the root's view.
+  if (config_.stats_interval > 0) send_stats();
 }
 
 void Foreman::on_frame(net::Connection& conn, std::string&& wire) {

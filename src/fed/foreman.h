@@ -54,7 +54,7 @@ struct ForemanConfig {
   // budget discipline net::WorkerClient applies). Handshake and idle
   // timeouts are the net::Uplink defaults.
   int max_reconnect_attempts = 30;
-  double stats_interval = 1.0;  // kStats cadence (0 = off)
+  double stats_interval = 1.0;  // kStats cadence, plus one on connect (0 = off)
   // Local results buffered before an upward flush is forced; a loop-deferred
   // flush also coalesces whatever completed in the same reactor iteration.
   size_t result_batch_max = 64;

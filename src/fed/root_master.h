@@ -14,18 +14,21 @@
 // cacheable input files (ship-once per link, the same idiom wq::Master's
 // file_holders_ index applies per worker), tie-broken by lightest current
 // load. A dead foreman's in-flight groups requeue to sibling shards (minus
-// tasks already completed); the net::DoneLedger's per-task done flags
-// discard a straggler's late result. With a chaos::Journal attached, every
-// completion is journaled (write-ahead) and recover() re-arms the done
-// flags from a previous run's journal, so a restarted root never re-runs a
-// task that already completed.
+// tasks already completed); the net::DoneLedger's per-task done record
+// discards a straggler's late result. A completed group is dropped with its
+// staged files, so the root holds only the work still in flight. With a
+// chaos::Journal attached, every completion is journaled (write-ahead) and
+// recover() arms the done record from a previous run's journal, so a
+// restarted root never re-runs a task that already completed.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chaos/journal.h"
@@ -118,8 +121,13 @@ class RootMaster : public net::PeerHub {
   std::map<std::string, size_t> shard_loads() const;
 
  private:
+  // A group in flight; it is forgotten, files and all, once its last task
+  // completes.
   struct Group {
     wq::FileSet files;
+    // Names the tasks mark cacheable, fixed at submit: a requeued group
+    // must not read the stanzas of tasks the ledger has already dropped.
+    std::set<std::string> cacheable;
     std::vector<size_t> task_indices;
     size_t remaining = 0;   // tasks not yet done
     uint64_t assigned = 0;  // conn id currently running it (0 = queued)
@@ -134,8 +142,9 @@ class RootMaster : public net::PeerHub {
   void assign_group(net::Peer& f, size_t group_index);
 
   RootMasterConfig config_;
-  std::vector<size_t> group_of_;  // group index, by task index
-  std::vector<Group> groups_;
+  std::unordered_map<size_t, size_t> group_of_;  // pending task -> group
+  std::unordered_map<size_t, Group> groups_;     // groups not yet done
+  size_t next_group_ = 0;
   std::deque<size_t> group_queue_;
   RootStats stats_;  // the group-level counters; stats() adds the rest
 };

@@ -5,9 +5,13 @@
 // mutations are confined to the copy-on-write child. Results (or the error
 // description on exception) return to the parent over a pipe, serialized with
 // the serde codec — the C++ analogue of the multiprocessing result queue the
-// paper establishes before forking. The parent polls the child's /proc
-// subtree on an interval, tracks peaks, invokes the user callback at each
-// poll, and kills the task's process group when any limit is exceeded.
+// paper establishes before forking. The monitor is the paper's hybrid: the
+// parent polls the child's /proc subtree on an interval, tracks peaks,
+// invokes the user callback at each poll, and kills the task's process
+// group when any limit is exceeded; between polls it sleeps in ppoll on a
+// pidfd for the child and on the result pipe, so an exit or result bytes
+// wake it at once, and it reaps with wait4 to fold the kernel's final
+// peak RSS and CPU time into the usage a poll may have missed.
 #pragma once
 
 #include <functional>
@@ -28,7 +32,7 @@ using PollCallback = std::function<void(const ResourceUsage&)>;
 
 struct MonitorOptions {
   ResourceLimits limits;
-  double poll_interval = 0.02;   // seconds between /proc polls
+  double poll_interval = 0.02;   // seconds between /proc samples
   PollCallback on_poll;          // optional
   bool record_timeline = false;  // keep one UsageSample per poll
   // Trace lane (obs tid) for this invocation's span and per-poll resource

@@ -10,13 +10,15 @@
 // queue drained fill-first into each worker's pipeline (tasks_per_worker in
 // flight, up to max_batch per v2 batch frame), cacheable input files
 // shipped once per connection, and a dropped connection's in-flight tasks
-// requeued at the front of the queue (at-least-once attempts).
+// requeued at the front of the queue (at-least-once attempts). A task's
+// staged inputs are freed as soon as its result lands.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.h"
@@ -70,6 +72,8 @@ class MasterService : public PeerHub {
   bool drop_connection(size_t k) { return drop(k); }
 
   size_t pending() const { return ledger_.pending(); }
+  // Tasks whose staged input files are still held (pending ones only).
+  size_t staged() const { return files_.size(); }
   int connected_workers() const { return connected(); }
   NetMasterStats stats() const;
   // JSON snapshot for the /statusz endpoint: queue depth, completion
@@ -78,12 +82,12 @@ class MasterService : public PeerHub {
 
  private:
   void dispatch(Peer* w) override;
-  void settle(Peer& w, size_t index) override { w.work.erase(index); }
+  void settle(Peer& w, size_t index) override;
   void lost(Peer& w, const std::string& reason) override;
   void dispatch_to(Peer& w);
 
   MasterServiceConfig config_;
-  std::vector<wq::FileSet> files_;  // staged inputs, by task index
+  std::unordered_map<size_t, wq::FileSet> files_;  // pending tasks' inputs
   std::deque<size_t> queue_;
   int64_t requeued_ = 0;
 };

@@ -94,15 +94,11 @@ class PeerHub {
   uint16_t port() const { return listener_.port(); }
 
   // Fires once per completed task, on the loop thread (not for tasks that
-  // recover() marked done). The result is only valid during the call; the
-  // callback may submit more work.
+  // recover() marked done). This is the only way results leave the tier:
+  // the ledger forgets a task once it completes. The result is only valid
+  // during the call; the callback may submit more work.
   void set_on_result(std::function<void(const wq::ResultMessage&)> fn) {
     ledger_.set_on_result(std::move(fn));
-  }
-  // Results in submission order (default-constructed where not completed,
-  // including tasks recover() marked done).
-  const std::vector<wq::ResultMessage>& results() const {
-    return ledger_.results();
   }
 
   // End the run: send bye to every peer, close links after their write

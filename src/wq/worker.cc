@@ -6,6 +6,7 @@
 #include "pysrc/interp.h"
 #include "pysrc/parse_cache.h"
 #include "serde/pickle.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace lfm::wq {
@@ -179,7 +180,11 @@ std::pair<TaskMessage, FileSet> make_python_task(
   task.category = category;
   task.allocation = allocation;
 
-  const std::string module_file = strformat("fn-%llu.py", (unsigned long long)task_id);
+  // Content-addressed: every task of one module names the same cacheable
+  // file, so it ships once per link and workers cache one copy, not one per
+  // task.
+  const std::string module_file =
+      strformat("fn-%016llx.py", (unsigned long long)hash64(module_source));
   const std::string args_file = strformat("args-%llu.pkl", (unsigned long long)task_id);
   task.command_line = "lfm-pyrun " + module_file + " " + args_file + " " + function;
 

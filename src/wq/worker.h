@@ -58,7 +58,9 @@ class LocalWorker {
 };
 
 // Master-side helper: build the "lfm-pyrun" TaskMessage + FileSet for one
-// Python function invocation (module source + pickled args as files).
+// Python function invocation: the module source as a cacheable file named
+// by its content hash (fn-<hash64 hex>.py, shared by every task of that
+// module) and the pickled args as a one-shot file (args-<task_id>.pkl).
 std::pair<TaskMessage, FileSet> make_python_task(
     uint64_t task_id, const std::string& category, const std::string& module_source,
     const std::string& function, const serde::Value& args,
