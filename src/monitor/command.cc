@@ -1,5 +1,7 @@
 #include "monitor/command.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -26,18 +28,28 @@ CommandOutcome run_command_monitored(const std::vector<std::string>& argv,
     outcome.error = std::string("pipe: ") + std::strerror(errno);
     return outcome;
   }
+  // Closed by the child's exec (or exit): until then the child is a copy of
+  // this process, and a /proc sample would count this process's resident
+  // pages as the command's.
+  int exec_fds[2];
+  if (::pipe2(exec_fds, O_CLOEXEC) != 0) {
+    outcome.error = std::string("pipe2: ") + std::strerror(errno);
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    return outcome;
+  }
 
   std::fflush(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
     outcome.error = std::string("fork: ") + std::strerror(errno);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
+    for (const int fd : {pipe_fds[0], pipe_fds[1], exec_fds[0], exec_fds[1]}) ::close(fd);
     return outcome;
   }
   if (pid == 0) {
     ::setpgid(0, 0);
     ::close(pipe_fds[0]);
+    ::close(exec_fds[0]);
     // Combined stdout+stderr into the report pipe.
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::dup2(pipe_fds[1], STDERR_FILENO);
@@ -53,9 +65,17 @@ CommandOutcome run_command_monitored(const std::vector<std::string>& argv,
     ::_exit(127);  // exec failed
   }
   ::close(pipe_fds[1]);
+  ::close(exec_fds[1]);
+  // Bounded: a sibling thread's fork can hold a copy of the write end.
+  pollfd exec_wait{exec_fds[0], POLLIN, 0};
+  while (::poll(&exec_wait, 1, static_cast<int>(options.monitor.poll_interval * 1000)) < 0 &&
+         errno == EINTR) {
+  }
+  ::close(exec_fds[0]);
 
   const detail::LoopResult loop = detail::monitor_loop(
-      pid, pipe_fds[0], options.monitor, outcome.usage, outcome.timeline);
+      pid, pipe_fds[0], /*reap_rss=*/false, options.monitor, outcome.usage,
+      outcome.timeline);
 
   // Captured output (capped).
   const size_t n = std::min(loop.collected.size(), options.max_output_bytes);

@@ -4,7 +4,10 @@
 // invoked via the shell" (§III.A); scientific pipelines (bwa, gatk, VEP)
 // are exactly such commands. This runs argv via fork+exec inside the same
 // LFM machinery as Python-function tasks: own process group, /proc subtree
-// polling, limit enforcement, captured output.
+// polling, limit enforcement, captured output. Usage counts the command
+// only: sampling starts once the exec has happened, and the reaped
+// ru_maxrss (which carries the forking process's pages across exec) is
+// left out of the peak.
 #pragma once
 
 #include <string>

@@ -104,6 +104,9 @@ void PeerHub::on_message(uint64_t id, Connection& conn, std::string&& wire) {
       const std::vector<wq::ResultMessage> results =
           wq::decode_result_batch(wire);
       for (const wq::ResultMessage& msg : results) {
+        // An on_result callback may close this link: lost() has requeued
+        // the rest of its work and `p` is gone, so the frame ends here.
+        if (conn.closed()) break;
         ledger_.complete(msg, [&](size_t index) { settle(p, index); });
       }
       if (!conn.closed()) dispatch(&p);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <vector>
 
 #include "monitor/command.h"
 
@@ -107,6 +108,21 @@ TEST(Command, SignalTermination) {
   EXPECT_EQ(outcome.status, TaskStatus::kCrashed);
   EXPECT_TRUE(outcome.result.signaled);
   EXPECT_EQ(outcome.result.signal, SIGTERM);
+}
+
+TEST(Command, PeakRssIsTheCommandsNotTheLaunchers) {
+  // The command is forked from a process holding 96 MiB of touched memory.
+  // Until exec the child maps a copy of those pages, and the kernel carries
+  // that image's high-water mark into the reaped ru_maxrss; neither may be
+  // reported as the command's peak.
+  std::vector<char> held(96 << 20);
+  for (size_t i = 0; i < held.size(); i += 4096) held[i] = static_cast<char>(i >> 12);
+  CommandOptions options;
+  options.monitor.poll_interval = 1.0;
+  const auto outcome = run_command_monitored({"/bin/sh", "-c", "sleep 0.05"}, options);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_LT(outcome.usage.max_rss_bytes, 32LL << 20);
+  EXPECT_EQ(held[4096], 1);
 }
 
 }  // namespace
