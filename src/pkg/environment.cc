@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/strings.h"
-
 namespace lfm::pkg {
 
 Environment::Environment(std::string name, const Resolution& resolution)
@@ -48,22 +46,9 @@ std::vector<EnvironmentFile> Environment::synthesize_files() const {
 
 void Environment::synthesize_package_files(const PackageMeta& meta,
                                            std::vector<EnvironmentFile>& out) {
-  const int count = std::max(meta.file_count, 1);
-  const int64_t per_file = std::max<int64_t>(meta.size_bytes / count, 1);
-  for (int i = 0; i < count; ++i) {
-    EnvironmentFile f;
-    // The first file of each package is a text entry (metadata/launcher)
-    // that embeds the original prefix; the rest are payload.
-    if (i == 0) {
-      f.path = "lib/" + meta.name + "/" + meta.name + ".dist-info";
-      f.is_text = true;
-    } else {
-      f.path = strformat("lib/%s/data_%04d%s", meta.name.c_str(), i,
-                         meta.has_native_libs && i % 7 == 0 ? ".so" : ".py");
-    }
-    f.size = per_file;
-    out.push_back(std::move(f));
-  }
+  for_each_package_file(meta, [&out](std::string_view path, int64_t size, bool is_text) {
+    out.push_back(EnvironmentFile{std::string(path), size, is_text});
+  });
 }
 
 }  // namespace lfm::pkg

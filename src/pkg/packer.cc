@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <thread>
 
@@ -322,14 +323,29 @@ int relocate_prefix(Archive& archive, const std::string& old_prefix,
 
 namespace {
 
+// The environment-independent part of one package's pack output: its MANIFEST
+// line block and that block's chunks. Only the dist-info entries, which embed
+// the signature-derived prefix, are rendered per environment.
+struct PackageBlock {
+  std::vector<std::string> text_paths;  // relocatable entries (dist-info)
+  Bytes lines;                          // "path size\n" per payload file
+  std::vector<ChunkRef> line_chunks;
+};
+
 // Packed archives dedup on the pinned requirements list: it fully determines
 // the synthesized file set, so two same-content environments with different
 // names share one archive (and one canonical, relocatable prefix). Bounded:
 // least-recently-packed signatures fall out past 64 entries, so a campaign
 // cycling through thousands of environments holds at most 64 archives.
+//
+// Package blocks are memoized beside the archives, keyed by the pinned
+// `name==version` plus the metadata the block is a function of, so sibling
+// environments render and chunk a shared package once. Bounded at 256
+// blocks; clear_pack_cache() empties both maps.
 struct PackCache {
   std::mutex mu;
   LruCache<std::string, PackedEnvironment, ContentHash> cache{64};
+  LruCache<std::string, std::shared_ptr<const PackageBlock>, ContentHash> blocks{256};
 };
 
 PackCache& pack_cache() {
@@ -342,6 +358,7 @@ struct PackMetrics {
   obs::Counter& cache_hits;
   obs::Counter& cold_packs;
   obs::Counter& chunks;
+  obs::Counter& package_block_hits;
   obs::HistogramMetric& seconds;
   obs::HistogramMetric& archive_bytes;
 
@@ -351,6 +368,7 @@ struct PackMetrics {
         obs::Recorder::global().metrics().counter("pack.cache_hits"),
         obs::Recorder::global().metrics().counter("pack.cold_packs"),
         obs::Recorder::global().metrics().counter("pack.chunks"),
+        obs::Recorder::global().metrics().counter("pack.package_block_hits"),
         obs::Recorder::global().metrics().histogram("pack.seconds"),
         obs::Recorder::global().metrics().histogram("pack.archive_bytes", 1.0, 1e12, 96),
     };
@@ -363,37 +381,69 @@ std::string prefix_for_signature(const std::string& signature) {
                    static_cast<unsigned long long>(hash64(signature)));
 }
 
+std::shared_ptr<const PackageBlock> render_package_block(const PackageMeta& meta) {
+  auto block = std::make_shared<PackageBlock>();
+  std::string size_field;  // " <size>\n"; every file of a package shares one size
+  int64_t size_field_of = -1;
+  Environment::for_each_package_file(
+      meta, [&](std::string_view path, int64_t size, bool is_text) {
+        if (is_text) {
+          block->text_paths.emplace_back(path);
+          return;
+        }
+        if (size != size_field_of) {
+          size_field = " " + std::to_string(size) + "\n";
+          size_field_of = size;
+        }
+        block->lines.insert(block->lines.end(), path.begin(), path.end());
+        block->lines.insert(block->lines.end(), size_field.begin(), size_field.end());
+      });
+  block->lines.shrink_to_fit();  // the memo holds it; drop the growth slack
+  block->line_chunks = chunk_bytes(block->lines.data(), block->lines.size());
+  return block;
+}
+
+// The memoized block for `meta`, rendered on a miss outside the lock (two
+// racing packs may both render it; the blocks are identical).
+std::shared_ptr<const PackageBlock> package_block(const PackageMeta& meta) {
+  std::string key = strformat("%s\x1f%d\x1f%lld\x1f%d", meta.spec_str().c_str(),
+                              meta.file_count, static_cast<long long>(meta.size_bytes),
+                              meta.has_native_libs ? 1 : 0);
+  auto& pc = pack_cache();
+  {
+    std::lock_guard<std::mutex> lock(pc.mu);
+    if (const auto* hit = pc.blocks.find(key)) {
+      if (obs::Recorder::enabled()) PackMetrics::get().package_block_hits.add();
+      return *hit;
+    }
+  }
+  std::shared_ptr<const PackageBlock> block = render_package_block(meta);
+  std::lock_guard<std::mutex> lock(pc.mu);
+  pc.blocks.insert(std::move(key), block);
+  return block;
+}
+
 // Per-package output of the parallel pipeline. Everything here is a pure
 // function of (PackageMeta, prefix), so any thread may produce any job and
 // the merge below only concatenates in the environment's sorted order.
 struct PackageJob {
-  Bytes dist_entry;      // tar serialization of the dist-info text entry
-  Bytes manifest_lines;  // this package's block of MANIFEST text lines
+  std::shared_ptr<const PackageBlock> block;
+  Bytes dist_entry;  // tar serialization of the dist-info text entries
   std::vector<ChunkRef> dist_chunks;
-  std::vector<ChunkRef> line_chunks;
 };
 
 void pack_package(const PackageMeta& meta, const std::string& prefix, PackageJob& job) {
-  std::vector<EnvironmentFile> files;
-  Environment::synthesize_package_files(meta, files);
-  std::string lines;
-  for (const auto& file : files) {
-    if (file.is_text) {
-      const std::string content = "prefix=" + prefix + "\n";
-      ArchiveEntry e;
-      e.path = file.path;
-      e.data.assign(content.begin(), content.end());
-      append_tar_entry(job.dist_entry, e);
-    } else {
-      lines += file.path + " " + std::to_string(file.size) + "\n";
-    }
+  job.block = package_block(meta);
+  const std::string content = "prefix=" + prefix + "\n";
+  for (const std::string& path : job.block->text_paths) {
+    append_tar_header(job.dist_entry, path, /*is_directory=*/false, 0644, content.size());
+    job.dist_entry.insert(job.dist_entry.end(), content.begin(), content.end());
+    append_padding(job.dist_entry, content.size());
   }
-  job.manifest_lines.assign(lines.begin(), lines.end());
   // Chunk boundaries are computed per logical segment, never across package
   // boundaries: a package's chunks are identical in every environment that
   // pins it, which is what makes warm delta transfers small.
   job.dist_chunks = chunk_bytes(job.dist_entry.data(), job.dist_entry.size());
-  job.line_chunks = chunk_bytes(job.manifest_lines.data(), job.manifest_lines.size());
 }
 
 PackedEnvironment pack_environment_cold(const Environment& env,
@@ -444,9 +494,6 @@ PackedEnvironment pack_environment_cold(const Environment& env,
   // requirements.txt entry, per-package dist-info entries in sorted package
   // order, the MANIFEST entry (header, per-package line blocks, padding),
   // then the two-zero-block trailer.
-  Bytes tar;
-  ChunkManifest manifest;
-
   Bytes head;
   {
     ArchiveEntry e;
@@ -454,38 +501,55 @@ PackedEnvironment pack_environment_cold(const Environment& env,
     e.data.assign(signature.begin(), signature.end());
     append_tar_entry(head, e);
   }
-  manifest.append(chunk_bytes(head.data(), head.size()));
-  tar = std::move(head);
-
-  int64_t manifest_size = 0;
-  for (const PackageJob& j : jobs) {
-    manifest_size += static_cast<int64_t>(j.manifest_lines.size());
-  }
-
-  for (const PackageJob& j : jobs) {
-    tar.insert(tar.end(), j.dist_entry.begin(), j.dist_entry.end());
-    manifest.append(j.dist_chunks);
-  }
-
+  size_t manifest_size = 0;
+  for (const PackageJob& j : jobs) manifest_size += j.block->lines.size();
   Bytes mh;
-  append_tar_header(mh, "MANIFEST", /*is_directory=*/false, 0644,
-                    static_cast<size_t>(manifest_size));
-  manifest.append(chunk_bytes(mh.data(), mh.size()));
-  tar.insert(tar.end(), mh.begin(), mh.end());
-
-  for (const PackageJob& j : jobs) {
-    tar.insert(tar.end(), j.manifest_lines.begin(), j.manifest_lines.end());
-    manifest.append(j.line_chunks);
-  }
-
+  append_tar_header(mh, "MANIFEST", /*is_directory=*/false, 0644, manifest_size);
   Bytes tail;
-  append_padding(tail, static_cast<size_t>(manifest_size));
+  append_padding(tail, manifest_size);
   append_tar_trailer(tail);
-  manifest.append(chunk_bytes(tail.data(), tail.size()));
-  tar.insert(tar.end(), tail.begin(), tail.end());
+  const std::vector<ChunkRef> head_chunks = chunk_bytes(head.data(), head.size());
+  const std::vector<ChunkRef> mh_chunks = chunk_bytes(mh.data(), mh.size());
+  const std::vector<ChunkRef> tail_chunks = chunk_bytes(tail.data(), tail.size());
 
-  manifest.set_stream_digest(hash64(
-      std::string_view(reinterpret_cast<const char*>(tar.data()), tar.size())));
+  struct Segment {
+    const Bytes* bytes;
+    const std::vector<ChunkRef>* chunks;
+  };
+  std::vector<Segment> segments;
+  segments.reserve(2 * jobs.size() + 3);
+  segments.push_back({&head, &head_chunks});
+  for (const PackageJob& j : jobs) segments.push_back({&j.dist_entry, &j.dist_chunks});
+  segments.push_back({&mh, &mh_chunks});
+  for (const PackageJob& j : jobs) {
+    segments.push_back({&j.block->lines, &j.block->line_chunks});
+  }
+  segments.push_back({&tail, &tail_chunks});
+
+  // The stream digest is one serial chain as long as the archive: a parallel
+  // pack computes it from the segments on a helper thread while this thread
+  // copies them into an archive allocated once at its final size.
+  const auto digest_segments = [&segments] {
+    Hash64Stream stream;
+    for (const Segment& seg : segments) {
+      stream.update(std::string_view(reinterpret_cast<const char*>(seg.bytes->data()),
+                                     seg.bytes->size()));
+    }
+    return stream.digest();
+  };
+  std::future<uint64_t> digest;
+  if (workers > 1) digest = std::async(std::launch::async, digest_segments);
+
+  size_t tar_size = 0;
+  for (const Segment& seg : segments) tar_size += seg.bytes->size();
+  Bytes tar;
+  tar.reserve(tar_size);
+  ChunkManifest manifest;
+  for (const Segment& seg : segments) {
+    tar.insert(tar.end(), seg.bytes->begin(), seg.bytes->end());
+    manifest.append(*seg.chunks);
+  }
+  manifest.set_stream_digest(digest.valid() ? digest.get() : digest_segments());
 
   PackedEnvironment packed;
   packed.tar = std::make_shared<const Bytes>(std::move(tar));
@@ -551,6 +615,7 @@ void clear_pack_cache() {
   auto& pc = pack_cache();
   std::lock_guard<std::mutex> lock(pc.mu);
   pc.cache.clear();
+  pc.blocks.clear();
 }
 
 }  // namespace lfm::pkg

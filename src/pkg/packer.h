@@ -86,10 +86,12 @@ struct PackedEnvironment {
 // size; payload bytes themselves are elided so multi-GB environments stay
 // packable in memory (the distribution cost models operate on sizes).
 //
-// Cold packs run a parallel pipeline: one task per package (synthesize +
-// tar-entry render + chunking), merged in the environment's sorted package
-// order. `threads` <= 0 uses hardware concurrency; output bytes and manifest
-// are identical for every thread count (DESIGN.md §12).
+// Cold packs run a parallel pipeline: one task per package, merged in the
+// environment's sorted package order. A package's MANIFEST lines and their
+// chunks are rendered once and memoized across environments; only its
+// prefix-bearing dist-info entry is rendered per environment. `threads` <= 0
+// uses hardware concurrency; output bytes and manifest are identical for
+// every thread count and memo state (DESIGN.md §12).
 PackedEnvironment packed_environment(const Environment& env, int threads = 0);
 
 // Archive-only accessor, same cache as packed_environment().
@@ -100,7 +102,8 @@ std::shared_ptr<const Bytes> packed_environment_tar(const Environment& env);
 std::string packed_environment_prefix(const Environment& env);
 
 // Observability for the process-wide packed-archive memo. `hits` counts
-// archives served without re-packing.
+// archives served without re-packing. clear_pack_cache() also empties the
+// package-block memo, so the next pack is fully cold.
 CacheStats pack_cache_stats();
 void clear_pack_cache();
 

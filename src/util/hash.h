@@ -14,6 +14,22 @@ namespace lfm {
 // finalizer: one multiply per 8 input bytes, full avalanche at the end.
 uint64_t hash64(std::string_view data, uint64_t seed = 0);
 
+// hash64 fed in pieces: update() over consecutive slices of a stream, then
+// digest(), equals hash64 over the whole stream. Lets a digest follow a
+// stream that is never contiguous, or not yet.
+class Hash64Stream {
+ public:
+  explicit Hash64Stream(uint64_t seed = 0);
+  void update(std::string_view data);
+  uint64_t digest() const;
+
+ private:
+  uint64_t h_;
+  uint64_t size_ = 0;
+  char lane_[8] = {};  // a partial 8-byte lane carried into the next update()
+  size_t lane_len_ = 0;
+};
+
 // Mix two 64-bit hashes into one (order-sensitive).
 uint64_t hash_combine64(uint64_t a, uint64_t b);
 

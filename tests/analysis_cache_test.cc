@@ -1,4 +1,4 @@
-// Tests for the content-addressed analysis caches: the hash utility, the
+// Tests for the content-addressed analysis caches: the hash utilities, the
 // shared parse cache, the plan/solver memos, packer output dedup, bulk
 // analyze_all determinism, and invalidation on index mutation.
 #include <gtest/gtest.h>
@@ -56,6 +56,26 @@ TEST(Hash64, StableAndSeedSensitive) {
   EXPECT_EQ(hash64("def f(): pass"), hash64("def f(): pass"));
   EXPECT_NE(hash64("x", 1), hash64("x", 2));
   EXPECT_NE(hash_combine64(1, 2), hash_combine64(2, 1));
+}
+
+TEST(Hash64, StreamInPiecesEqualsWholeHash) {
+  std::string data;
+  for (int i = 0; i < 100; ++i) data += static_cast<char>(i * 37);
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{7}}) {
+    const uint64_t whole = hash64(data, seed);
+    // Every two-cut split, so pieces start and end at each lane offset.
+    for (size_t a = 0; a <= 20; ++a) {
+      for (size_t b = a; b <= 40; ++b) {
+        Hash64Stream stream(seed);
+        stream.update(std::string_view(data).substr(0, a));
+        stream.update(std::string_view());  // empty, null data
+        stream.update(std::string_view(data).substr(a, b - a));
+        stream.update(std::string_view(data).substr(b));
+        EXPECT_EQ(stream.digest(), whole) << a << "," << b;
+      }
+    }
+  }
+  EXPECT_EQ(Hash64Stream().digest(), hash64(""));
 }
 
 TEST(ParseCache, RepeatParseIsAHitOnSharedAst) {

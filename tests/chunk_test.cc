@@ -1,14 +1,16 @@
 // Tests for the content-addressed chunk layer (DESIGN.md §12): content-
 // defined chunking invariants, manifest encode/decode round-trip (including
 // a randomized fuzz pass), chunk-store eviction under a tiny capacity, the
-// serial-vs-parallel byte-identity guarantee of the pack pipeline, and the
-// worker-side chunk cache model that drives delta distribution.
+// serial-vs-parallel byte-identity guarantee of the pack pipeline, the
+// pack pipeline against a write_tar reference and its package-block memo,
+// and the worker-side chunk cache model that drives delta distribution.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
 #include <vector>
 
+#include "obs/recorder.h"
 #include "pkg/chunk.h"
 #include "pkg/environment.h"
 #include "pkg/index.h"
@@ -26,12 +28,52 @@ Bytes pattern_bytes(size_t n, uint64_t seed) {
   return out;
 }
 
-Environment resolve_env(const std::string& name, const std::string& root) {
-  static const PackageIndex& index = standard_index();
+Environment resolve_roots(const std::string& name, const std::vector<std::string>& roots,
+                          const PackageIndex& index = standard_index()) {
   Solver solver(index);
-  auto result = solver.resolve({Requirement::parse(root)});
+  std::vector<Requirement> reqs;
+  for (const std::string& root : roots) reqs.push_back(Requirement::parse(root));
+  auto result = solver.resolve(reqs);
   EXPECT_TRUE(result.ok());
   return Environment(name, result.value());
+}
+
+Environment resolve_env(const std::string& name, const std::string& root) {
+  return resolve_roots(name, {root});
+}
+
+// The sibling set of the fed-env benchmark workload: four environments that
+// share python and the numpy base.
+std::vector<Environment> sibling_envs() {
+  std::vector<Environment> envs;
+  envs.push_back(resolve_roots("sib-numpy-scipy", {"numpy", "scipy"}));
+  envs.push_back(resolve_roots("sib-pandas", {"pandas"}));
+  envs.push_back(resolve_roots("sib-sklearn", {"scikit-learn"}));
+  envs.push_back(resolve_roots("sib-matplotlib-pandas", {"matplotlib", "pandas"}));
+  return envs;
+}
+
+// What packed_environment must produce, built the plain way: one Archive
+// entry per synthesized file, serialized by write_tar.
+Bytes reference_tar(const Environment& env) {
+  const std::string signature = env.requirements_txt();
+  const std::string dist = "prefix=" + packed_environment_prefix(env) + "\n";
+  Archive archive;
+  archive.add_file("requirements.txt", Bytes(signature.begin(), signature.end()));
+  std::string manifest;
+  for (const EnvironmentFile& f : env.synthesize_files()) {
+    if (f.is_text) {
+      archive.add_file(f.path, Bytes(dist.begin(), dist.end()));
+    } else {
+      manifest += f.path + " " + std::to_string(f.size) + "\n";
+    }
+  }
+  archive.add_file("MANIFEST", Bytes(manifest.begin(), manifest.end()));
+  return write_tar(archive);
+}
+
+int64_t package_block_hits() {
+  return obs::Recorder::global().metrics().counter("pack.package_block_hits").value();
 }
 
 // --- chunk_bytes ------------------------------------------------------------
@@ -275,6 +317,64 @@ TEST(PackPipeline, SiblingEnvironmentsSharePackageChunks) {
   const int64_t missing = cache.missing_bytes(*pb.manifest);
   EXPECT_LT(missing, pb.manifest->total_bytes());  // some overlap reused
   EXPECT_GT(missing, 0);  // but pandas' own bytes still ship
+}
+
+TEST(PackPipeline, MatchesWriteTarOfSynthesizedFiles) {
+  std::vector<Environment> envs = sibling_envs();
+  // The .so branch and an empty package (its dist-info entry, no lines).
+  PackageIndex index;
+  PackageMeta native;
+  native.name = "native-ext";
+  native.version = Version::parse("2.0");
+  native.size_bytes = 1 << 20;
+  native.file_count = 30;
+  native.has_native_libs = true;
+  index.add(native);
+  PackageMeta empty;
+  empty.name = "empty-meta";
+  empty.version = Version::parse("0.1");
+  empty.file_count = 0;
+  index.add(empty);
+  envs.push_back(resolve_roots("native-and-empty", {"native-ext", "empty-meta"}, index));
+  for (const Environment& env : envs) {
+    const Bytes expected = reference_tar(env);
+    for (const int threads : {1, 4}) {
+      clear_pack_cache();
+      const PackedEnvironment packed = packed_environment(env, threads);
+      EXPECT_EQ(*packed.tar, expected) << env.name() << " at " << threads << " threads";
+      EXPECT_EQ(reassemble(*packed.manifest, global_chunk_store()), expected)
+          << env.name() << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(PackPipeline, WarmPackageBlocksMatchColdPack) {
+  const std::vector<Environment> envs = sibling_envs();
+  for (size_t b = 1; b < envs.size(); ++b) {
+    clear_pack_cache();
+    const PackedEnvironment cold = packed_environment(envs[b]);
+    clear_pack_cache();
+    packed_environment(envs[0]);  // warms the shared packages' blocks
+    const PackedEnvironment warm = packed_environment(envs[b]);
+    EXPECT_EQ(*warm.tar, *cold.tar) << envs[b].name();
+    EXPECT_EQ(*warm.manifest, *cold.manifest) << envs[b].name();
+  }
+}
+
+TEST(PackPipeline, PackageBlockHitsCountSharedPackagesAndClearWithPackCache) {
+  const std::vector<Environment> envs = sibling_envs();
+  obs::Recorder::global().set_enabled(true);
+  obs::Recorder::global().clear();
+  packed_environment(envs[3]);  // fills the memo before the clear below
+  clear_pack_cache();
+  const int64_t before = package_block_hits();
+  packed_environment(envs[0]);
+  EXPECT_EQ(package_block_hits(), before)
+      << "the first environment after clear_pack_cache() found memoized blocks";
+  packed_environment(envs[1]);  // shares python and numpy with envs[0]
+  EXPECT_GT(package_block_hits(), before);
+  obs::Recorder::global().set_enabled(false);
+  obs::Recorder::global().clear();
 }
 
 }  // namespace

@@ -84,5 +84,33 @@ TEST(Environment, SynthesizedPathsUnique) {
   EXPECT_EQ(paths.size(), files.size());
 }
 
+TEST(Environment, PackageFileNamingScheme) {
+  PackageMeta meta;
+  meta.name = "ext";
+  meta.size_bytes = 100000;
+  meta.file_count = 10001;
+  meta.has_native_libs = true;
+  std::vector<EnvironmentFile> files;
+  Environment::synthesize_package_files(meta, files);
+  ASSERT_EQ(files.size(), 10001u);
+  EXPECT_EQ(files[0].path, "lib/ext/ext.dist-info");
+  EXPECT_TRUE(files[0].is_text);
+  EXPECT_EQ(files[1].path, "lib/ext/data_0001.py");
+  EXPECT_EQ(files[7].path, "lib/ext/data_0007.so");
+  EXPECT_EQ(files[9999].path, "lib/ext/data_9999.py");
+  EXPECT_EQ(files[10000].path, "lib/ext/data_10000.py");
+  for (const auto& f : files) EXPECT_EQ(f.size, 9);  // 100000 / 10001
+
+  // Without native libs every payload file is .py; a package declaring no
+  // files still gets its dist-info entry.
+  meta.has_native_libs = false;
+  meta.file_count = 0;
+  files.clear();
+  Environment::synthesize_package_files(meta, files);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].path, "lib/ext/ext.dist-info");
+  EXPECT_EQ(files[0].size, 100000);
+}
+
 }  // namespace
 }  // namespace lfm::pkg
