@@ -10,22 +10,10 @@
 #include "obs/collector.h"
 #include "obs/recorder.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/log.h"
 
 namespace lfm::net {
-
-namespace {
-
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 chaos::RetryPolicy default_reconnect_policy() {
   chaos::RetryPolicy p;
@@ -39,7 +27,7 @@ chaos::RetryPolicy default_reconnect_policy() {
 Uplink::Uplink(Settings settings, TierMetrics metrics)
     : metrics_(metrics),
       settings_(std::move(settings)),
-      jitter_seed_(fnv1a(settings_.name)) {}
+      jitter_seed_(hash64(settings_.name)) {}
 
 void Uplink::run(double tick_interval) {
   bye_ = false;

@@ -23,31 +23,24 @@ constexpr double kClientDeadlineSeconds = 10.0;
 }  // namespace
 
 HttpEndpoint::HttpEndpoint(net::EventLoop& loop, HttpEndpointConfig config)
-    : loop_(loop), config_(std::move(config)) {
-  // listen_tcp throws lfm::Error("bind ...") on a port already in use —
-  // that propagates to the caller, which is the fail-fast contract.
-  listen_fd_ = net::listen_tcp(config_.port, config_.bind_addr);
-  port_ = net::local_port(listen_fd_);
-  loop_.add_fd(listen_fd_, EPOLLIN, [this](uint32_t) {
-    for (;;) {
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) return;
-      Client& client = clients_[fd];
-      client.deadline_timer = loop_.run_after(
-          kClientDeadlineSeconds, [this, fd] { close_client(fd); });
-      loop_.add_fd(fd, EPOLLIN,
-                   [this, fd](uint32_t events) { on_client_event(fd, events); });
-    }
+    : loop_(loop),
+      config_(std::move(config)),
+      // Listener binds in its constructor and throws lfm::Error("bind ...")
+      // on a port already in use — the caller's fail-fast contract.
+      listener_(loop_, config_.port, config_.bind_addr) {
+  listener_.set_on_accept([this](int fd) {
+    net::set_nonblocking(fd);
+    Client& client = clients_[fd];
+    client.deadline_timer = loop_.run_after(
+        kClientDeadlineSeconds, [this, fd] { close_client(fd); });
+    loop_.add_fd(fd, EPOLLIN,
+                 [this, fd](uint32_t events) { on_client_event(fd, events); });
   });
+  listener_.start();
 }
 
 HttpEndpoint::~HttpEndpoint() {
   while (!clients_.empty()) close_client(clients_.begin()->first);
-  if (listen_fd_ >= 0) {
-    if (loop_.has_fd(listen_fd_)) loop_.remove_fd(listen_fd_);
-    ::close(listen_fd_);
-  }
 }
 
 void HttpEndpoint::close_client(int fd) {

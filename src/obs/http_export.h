@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "net/conn.h"
 #include "net/event_loop.h"
 #include "obs/metrics.h"
 #include "serde/value.h"
@@ -47,7 +48,7 @@ class HttpEndpoint {
   HttpEndpoint(const HttpEndpoint&) = delete;
   HttpEndpoint& operator=(const HttpEndpoint&) = delete;
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
   int64_t requests_served() const { return served_; }
 
  private:
@@ -69,8 +70,7 @@ class HttpEndpoint {
 
   net::EventLoop& loop_;
   HttpEndpointConfig config_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::Listener listener_;
   std::map<int, Client> clients_;
   int64_t served_ = 0;
 };

@@ -1,9 +1,12 @@
 #include "wq/protocol.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <concepts>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "obs/recorder.h"
 #include "serde/json.h"
@@ -470,106 +473,192 @@ std::vector<std::string> split_v1_messages(const std::string& wire) {
   return chunks;
 }
 
-// --- v2 binary encode/decode ------------------------------------------------
-
-void validate_task_tokens(const TaskMessage& msg) {
-  if (!valid_token(msg.category)) throw Error("protocol: invalid category token");
-  for (const auto& f : msg.infiles) {
-    if (!valid_token(f.name)) throw Error("protocol: invalid file name " + f.name);
-  }
-  for (const auto& name : msg.outfiles) {
-    if (!valid_token(name)) throw Error("protocol: invalid file name " + name);
-  }
+// Telemetry has no v1 text form; a v1 link simply does not ship it.
+void encode_v1(const TelemetryMessage&, std::string&) {
+  throw Error("protocol: telemetry requires wire v2");
 }
 
-size_t str_field_size(size_t n) { return serde::varint_size(n) + n; }
+TelemetryMessage decode_telemetry_v1(const std::string&) {
+  throw Error("protocol: telemetry requires wire v2");
+}
 
-size_t task_body_size(const TaskMessage& msg) {
-  size_t n = serde::varint_size(msg.task_id);
-  n += str_field_size(msg.category.size());
-  n += str_field_size(msg.command_line.size());
-  n += 24;  // alloc: three IEEE doubles
-  n += serde::varint_size(msg.infiles.size());
-  for (const auto& f : msg.infiles) {
-    n += str_field_size(f.name.size());
-    n += serde::varint_size(serde::zigzag(f.size_bytes));
-    n += 1;  // cacheable
-  }
-  n += serde::varint_size(msg.outfiles.size());
-  for (const auto& name : msg.outfiles) n += str_field_size(name.size());
+// --- v2 binary frames -------------------------------------------------------
+//
+// Each message body is described once, by a `layout(io, msg)` overload that
+// walks its fields in wire order. Three Io types drive every layout:
+//   ByteCounter   sums the body size (reserve, batch length prefixes,
+//                 encoded_size, task_body_size_v2);
+//   StringWriter  appends the bytes to the string the encode path returns;
+//   BodyReader    reads them back from one bounded body, with the decode
+//                 checks.
+// The encoders see a const message, the reader a mutable one. The Io calls:
+//   varint svarint real str bytes   the serde wire primitives
+//   u8(v, lo, hi, what)             one byte; the reader rejects values
+//                                   outside [lo, hi]
+//   token(s, what)                  a string the writer requires to be a
+//                                   valid_token, as v1 does
+//   list(v, each)                   varint count, then each element
+//   trailing(present)               a trailing extension: written when
+//                                   `present`, read when body bytes remain
+//                                   (a reader is always bounded to exactly
+//                                   one body, batch entries included)
+//   require(ok, what)               a check the reader makes on the body
+
+template <class Msg, class... Kinds>
+concept OneOf = (std::same_as<std::remove_const_t<Msg>, Kinds> || ...);
+
+// The task layout over dispatch-time fields: the simulated master's wire
+// accounting runs the counter over these without building a TaskMessage.
+// Its outfiles are unnamed, so each counts as an empty name.
+struct TaskFields {
+  uint64_t task_id;
+  const std::string& category;
+  const std::string& command_line;
+  const alloc::Resources& allocation;
+  const std::vector<InputFile>& infiles;
+  std::vector<std::string> outfiles;
+  uint64_t trace_id = 0;
+  uint64_t parent_span = 0;
+};
+
+template <class Io, OneOf<TaskMessage, TaskFields> Msg>
+void layout(Io& io, Msg& m) {
+  io.varint(m.task_id);
+  io.token(m.category, "invalid category token");
+  io.str(m.command_line);
+  io.real(m.allocation.cores);
+  io.real(m.allocation.memory_bytes);
+  io.real(m.allocation.disk_bytes);
+  io.list(m.infiles, [&](auto& f) {
+    io.token(f.name, "invalid file name");
+    io.svarint(f.size_bytes);
+    io.u8(f.cacheable, 0, 1, "bad cacheable byte");
+  });
+  io.list(m.outfiles, [&](auto& name) { io.token(name, "invalid file name"); });
   // Trace context extension: present only when traced, so untraced frames
-  // (and the sim's task_body_size_v2 accounting) stay byte-identical.
-  if (msg.trace_id != 0) {
-    n += serde::varint_size(msg.trace_id) + serde::varint_size(msg.parent_span);
+  // stay byte-identical to the pre-extension encoding.
+  if (io.trailing(m.trace_id != 0)) {
+    io.varint(m.trace_id);
+    io.varint(m.parent_span);
   }
-  return n;
+  io.require(m.task_id != 0, "missing task id");
 }
 
-size_t result_body_size(const ResultMessage& msg) {
-  size_t n = serde::varint_size(msg.task_id);
-  n += serde::varint_size(serde::zigzag(msg.exit_code));
-  n += 1;  // flags
-  if (msg.exhausted) n += str_field_size(msg.exhausted_resource.size());
-  n += 8;  // cores_used
-  n += serde::varint_size(serde::zigzag(msg.memory_peak_bytes));
-  n += serde::varint_size(serde::zigzag(msg.disk_peak_bytes));
-  n += 8;  // wall_seconds
-  if (!msg.payload.empty()) n += str_field_size(msg.payload.size());
-  if (msg.trace_id != 0) n += serde::varint_size(msg.trace_id);
-  return n;
+template <class Io, OneOf<ResultMessage> Msg>
+void layout(Io& io, Msg& m) {
+  io.varint(m.task_id);
+  io.svarint(m.exit_code);
+  // Bit 0: exhausted, a resource name follows. Bit 1: a payload follows.
+  uint8_t flags = (m.exhausted ? 1 : 0) | (m.payload.empty() ? 0 : 2);
+  io.u8(flags, 0, 3, "unknown result flags");
+  if constexpr (!std::is_const_v<Msg>) m.exhausted = (flags & 1) != 0;
+  if (flags & 1) io.token(m.exhausted_resource, "invalid resource token");
+  io.real(m.cores_used);
+  io.svarint(m.memory_peak_bytes);
+  io.svarint(m.disk_peak_bytes);
+  io.real(m.wall_seconds);
+  // Raw payload bytes — the v1 base64 detour (+33% bytes, one extra full
+  // copy each way) is exactly what v2 exists to remove.
+  if (flags & 2) io.bytes(m.payload);
+  if (io.trailing(m.trace_id != 0)) io.varint(m.trace_id);
+  io.require(m.task_id != 0, "missing task id");
 }
 
-size_t hello_body_size(const HelloMessage& msg) {
-  return str_field_size(msg.worker_name.size()) + 1 + 24;
+template <class Io, OneOf<HelloMessage> Msg>
+void layout(Io& io, Msg& m) {
+  io.token(m.worker_name, "invalid worker name");
+  io.u8(m.preferred, 1, 2, "bad hello version");
+  io.real(m.capacity.cores);
+  io.real(m.capacity.memory_bytes);
+  io.real(m.capacity.disk_bytes);
+  io.require(!m.worker_name.empty(), "missing worker name");
 }
 
-size_t file_body_size(const FileMessage& msg) {
-  return str_field_size(msg.name.size()) + 1 + str_field_size(msg.content.size());
+template <class Io, OneOf<FileMessage> Msg>
+void layout(Io& io, Msg& m) {
+  io.token(m.name, "invalid file name");
+  io.u8(m.cacheable, 0, 1, "bad cacheable byte");
+  io.bytes(m.content);
+  io.require(!m.name.empty(), "missing file name");
 }
 
-size_t control_body_size(const ControlMessage& msg) {
-  return 1 + serde::varint_size(msg.nonce) + 8 +
-         (msg.peer_time != 0.0 ? 8 : 0);
+template <class Io, OneOf<ControlMessage> Msg>
+void layout(Io& io, Msg& m) {
+  io.u8(m.type, 1, 3, "unknown control type");
+  io.varint(m.nonce);
+  io.real(m.timestamp);
+  if (io.trailing(m.peer_time != 0.0)) io.real(m.peer_time);
 }
 
-size_t stats_body_size(const StatsMessage& msg) {
-  return str_field_size(msg.source.size()) +
-         serde::varint_size(serde::zigzag(msg.workers)) +
-         serde::varint_size(serde::zigzag(msg.pending)) +
-         serde::varint_size(serde::zigzag(msg.completed)) +
-         serde::varint_size(serde::zigzag(msg.fanout_bytes)) +
-         serde::varint_size(serde::zigzag(msg.fanout_files)) +
-         serde::varint_size(serde::zigzag(msg.cache_chunks)) +
-         serde::varint_size(serde::zigzag(msg.cache_bytes));
+template <class Io, OneOf<StatsMessage> Msg>
+void layout(Io& io, Msg& m) {
+  io.token(m.source, "invalid stats source");
+  io.svarint(m.workers);
+  io.svarint(m.pending);
+  io.svarint(m.completed);
+  io.svarint(m.fanout_bytes);
+  io.svarint(m.fanout_files);
+  io.svarint(m.cache_chunks);
+  io.svarint(m.cache_bytes);
+  io.require(!m.source.empty(), "missing stats source");
 }
 
-size_t telemetry_event_size(const obs::TelemetryEvent& ev) {
-  return 1 +  // ph
-         serde::varint_size(ev.pid) + serde::varint_size(ev.tid) +
-         serde::varint_size(ev.trace_id) + 16 +  // ts, dur
-         str_field_size(ev.name.size()) + str_field_size(ev.cat.size()) +
-         str_field_size(ev.akey0.size()) + 8 +
-         str_field_size(ev.akey1.size()) + 8 +
-         str_field_size(ev.skey.size()) + str_field_size(ev.sval.size());
+template <class Io, OneOf<TelemetryMessage> Msg>
+void layout(Io& io, Msg& m) {
+  io.token(m.source, "invalid telemetry source");
+  io.varint(m.process_id);
+  io.real(m.clock_offset);
+  io.svarint(m.dropped);
+  io.list(m.events, [&](auto& ev) {
+    io.u8(ev.ph);
+    io.varint(ev.pid);
+    io.varint(ev.tid);
+    io.varint(ev.trace_id);
+    io.real(ev.ts);
+    io.real(ev.dur);
+    io.str(ev.name);
+    io.str(ev.cat);
+    io.str(ev.akey0);
+    io.real(ev.aval0);
+    io.str(ev.akey1);
+    io.real(ev.aval1);
+    io.str(ev.skey);
+    io.str(ev.sval);
+  });
+  io.list(m.counters, [&](auto& kv) {
+    io.str(kv.first);
+    io.svarint(kv.second);
+  });
+  io.list(m.gauges, [&](auto& kv) {
+    io.str(kv.first);
+    io.real(kv.second);
+  });
+  io.require(!m.source.empty(), "missing telemetry source");
 }
 
-size_t telemetry_body_size(const TelemetryMessage& msg) {
-  size_t n = str_field_size(msg.source.size());
-  n += serde::varint_size(msg.process_id);
-  n += 8;  // clock_offset
-  n += serde::varint_size(serde::zigzag(msg.dropped));
-  n += serde::varint_size(msg.events.size());
-  for (const auto& ev : msg.events) n += telemetry_event_size(ev);
-  n += serde::varint_size(msg.counters.size());
-  for (const auto& [name, value] : msg.counters) {
-    n += str_field_size(name.size()) + serde::varint_size(serde::zigzag(value));
+class ByteCounter {
+ public:
+  size_t bytes() const { return n_; }
+
+  void varint(uint64_t v) { n_ += serde::varint_size(v); }
+  void svarint(int64_t v) { varint(serde::zigzag(v)); }
+  template <class T>
+  void u8(T, uint8_t = 0, uint8_t = 255, const char* = nullptr) { n_ += 1; }
+  void real(double) { n_ += 8; }
+  void str(std::string_view s) { n_ += serde::varint_size(s.size()) + s.size(); }
+  void token(std::string_view s, const char*) { str(s); }
+  void bytes(const serde::Bytes& b) { n_ += serde::varint_size(b.size()) + b.size(); }
+  template <class Vec, class Fn>
+  void list(const Vec& v, Fn&& each) {
+    varint(v.size());
+    for (const auto& e : v) each(e);
   }
-  n += serde::varint_size(msg.gauges.size());
-  for (const auto& [name, value] : msg.gauges) {
-    n += str_field_size(name.size()) + 8;
-  }
-  return n;
-}
+  bool trailing(bool present) const { return present; }
+  void require(bool, const char*) const {}
+
+ private:
+  size_t n_ = 0;
+};
 
 // Appends the same bytes serde::Writer would produce, but directly into the
 // std::string the encode paths return. The previous scheme built each frame
@@ -583,7 +672,6 @@ class StringWriter {
  public:
   explicit StringWriter(std::string& out) : out_(out) {}
 
-  void u8(uint8_t b) { out_.push_back(static_cast<char>(b)); }
   void varint(uint64_t v) {
     while (v >= 0x80) {
       out_.push_back(static_cast<char>(static_cast<uint8_t>(v) | 0x80));
@@ -592,6 +680,10 @@ class StringWriter {
     out_.push_back(static_cast<char>(static_cast<uint8_t>(v)));
   }
   void svarint(int64_t v) { varint(serde::zigzag(v)); }
+  template <class T>
+  void u8(T v, uint8_t = 0, uint8_t = 255, const char* = nullptr) {
+    out_.push_back(static_cast<char>(static_cast<uint8_t>(v)));
+  }
   void real(double d) {
     char raw[8];
     std::memcpy(raw, &d, 8);
@@ -601,290 +693,123 @@ class StringWriter {
     varint(s.size());
     out_.append(s.data(), s.size());
   }
-  void bytes(serde::BytesView b) {
-    varint(b.size);
-    out_.append(reinterpret_cast<const char*>(b.data), b.size);
+  void token(const std::string& s, const char* what) {
+    if (!valid_token(s)) throw Error(std::string("protocol: ") + what + " '" + s + "'");
+    str(s);
   }
+  void bytes(const serde::Bytes& b) {
+    varint(b.size());
+    out_.append(reinterpret_cast<const char*>(b.data()), b.size());
+  }
+  template <class Vec, class Fn>
+  void list(const Vec& v, Fn&& each) {
+    varint(v.size());
+    for (const auto& e : v) each(e);
+  }
+  bool trailing(bool present) const { return present; }
+  void require(bool, const char*) const {}
 
  private:
   std::string& out_;
 };
 
-void write_task_body(const TaskMessage& msg, StringWriter& w) {
-  w.varint(msg.task_id);
-  w.str(msg.category);
-  w.str(msg.command_line);
-  w.real(msg.allocation.cores);
-  w.real(msg.allocation.memory_bytes);
-  w.real(msg.allocation.disk_bytes);
-  w.varint(msg.infiles.size());
-  for (const auto& f : msg.infiles) {
-    w.str(f.name);
-    w.svarint(f.size_bytes);
-    w.u8(f.cacheable ? 1 : 0);
-  }
-  w.varint(msg.outfiles.size());
-  for (const auto& name : msg.outfiles) w.str(name);
-  if (msg.trace_id != 0) {
-    w.varint(msg.trace_id);
-    w.varint(msg.parent_span);
-  }
-}
+class BodyReader {
+ public:
+  explicit BodyReader(serde::Reader& r) : r_(r) {}
 
-void write_result_body(const ResultMessage& msg, StringWriter& w) {
-  w.varint(msg.task_id);
-  w.svarint(msg.exit_code);
-  uint8_t flags = 0;
-  if (msg.exhausted) flags |= 1;
-  if (!msg.payload.empty()) flags |= 2;
-  w.u8(flags);
-  if (msg.exhausted) {
-    if (!valid_token(msg.exhausted_resource)) {
-      throw Error("protocol: invalid resource token");
+  template <class T>
+  void varint(T& v) {
+    v = static_cast<T>(r_.varint());
+  }
+  template <class T>
+  void svarint(T& v) {
+    const int64_t x = r_.svarint();
+    if (x < std::numeric_limits<T>::min() || x > std::numeric_limits<T>::max()) {
+      throw Error("protocol: integer field out of range");
     }
-    w.str(msg.exhausted_resource);
+    v = static_cast<T>(x);
   }
-  w.real(msg.cores_used);
-  w.svarint(msg.memory_peak_bytes);
-  w.svarint(msg.disk_peak_bytes);
-  w.real(msg.wall_seconds);
-  // Raw payload bytes — the v1 base64 detour (+33% bytes, one extra full
-  // copy each way) is exactly what v2 exists to remove.
-  if (!msg.payload.empty()) w.bytes(serde::BytesView(msg.payload));
-  if (msg.trace_id != 0) w.varint(msg.trace_id);
-}
-
-void write_hello_body(const HelloMessage& msg, StringWriter& w) {
-  w.str(msg.worker_name);
-  w.u8(static_cast<uint8_t>(msg.preferred));
-  w.real(msg.capacity.cores);
-  w.real(msg.capacity.memory_bytes);
-  w.real(msg.capacity.disk_bytes);
-}
-
-void write_file_body(const FileMessage& msg, StringWriter& w) {
-  w.str(msg.name);
-  w.u8(msg.cacheable ? 1 : 0);
-  w.bytes(serde::BytesView(msg.content));
-}
-
-void write_control_body(const ControlMessage& msg, StringWriter& w) {
-  w.u8(static_cast<uint8_t>(msg.type));
-  w.varint(msg.nonce);
-  w.real(msg.timestamp);
-  if (msg.peer_time != 0.0) w.real(msg.peer_time);
-}
-
-void write_stats_body(const StatsMessage& msg, StringWriter& w) {
-  w.str(msg.source);
-  w.svarint(msg.workers);
-  w.svarint(msg.pending);
-  w.svarint(msg.completed);
-  w.svarint(msg.fanout_bytes);
-  w.svarint(msg.fanout_files);
-  w.svarint(msg.cache_chunks);
-  w.svarint(msg.cache_bytes);
-}
-
-void write_telemetry_body(const TelemetryMessage& msg, StringWriter& w) {
-  w.str(msg.source);
-  w.varint(msg.process_id);
-  w.real(msg.clock_offset);
-  w.svarint(msg.dropped);
-  w.varint(msg.events.size());
-  for (const auto& ev : msg.events) {
-    w.u8(static_cast<uint8_t>(ev.ph));
-    w.varint(ev.pid);
-    w.varint(ev.tid);
-    w.varint(ev.trace_id);
-    w.real(ev.ts);
-    w.real(ev.dur);
-    w.str(ev.name);
-    w.str(ev.cat);
-    w.str(ev.akey0);
-    w.real(ev.aval0);
-    w.str(ev.akey1);
-    w.real(ev.aval1);
-    w.str(ev.skey);
-    w.str(ev.sval);
+  template <class T>
+  void u8(T& v, uint8_t lo = 0, uint8_t hi = 255, const char* what = nullptr) {
+    const uint8_t b = r_.u8();
+    if (b < lo || b > hi) throw Error(std::string("protocol: ") + what);
+    v = static_cast<T>(b);
   }
-  w.varint(msg.counters.size());
-  for (const auto& [name, value] : msg.counters) {
-    w.str(name);
-    w.svarint(value);
+  void real(double& d) { d = r_.real(); }
+  void str(std::string& s) { s = r_.str(); }
+  void token(std::string& s, const char*) { str(s); }
+  void bytes(serde::Bytes& b) {
+    const serde::BytesView v = r_.bytes();
+    b.assign(v.begin(), v.end());
   }
-  w.varint(msg.gauges.size());
-  for (const auto& [name, value] : msg.gauges) {
-    w.str(name);
-    w.real(value);
+  template <class Vec, class Fn>
+  void list(Vec& v, Fn&& each) {
+    const uint64_t n = r_.varint();
+    // A hostile count reserves no more than the bytes left could back.
+    v.reserve(std::min<size_t>(n, r_.remaining()));
+    for (uint64_t i = 0; i < n; ++i) each(v.emplace_back());
   }
+  bool trailing(bool) const { return r_.remaining() > 0; }
+  void require(bool ok, const char* what) const {
+    if (!ok) throw Error(std::string("protocol: ") + what);
+  }
+
+ private:
+  serde::Reader& r_;
+};
+
+template <class Msg>
+size_t body_size(const Msg& msg) {
+  ByteCounter counter;
+  layout(counter, msg);
+  return counter.bytes();
 }
 
-void write_frame_header(StringWriter& w, uint8_t type, size_t body_len) {
-  w.u8(kFrameMagic0);
-  w.u8(kFrameMagic1);
-  w.u8(kFrameVersion);
-  w.u8(type);
-  w.varint(body_len);
+// Read one bounded body through its layout; a byte left over is an error.
+template <class Msg>
+Msg read_body(serde::Reader& r, const char* leftover) {
+  Msg msg;
+  BodyReader reader(r);
+  layout(reader, msg);
+  if (r.remaining() != 0) throw Error(leftover);
+  return msg;
 }
 
 size_t frame_size(size_t body_len) {
   return kFrameFixedHeader + serde::varint_size(body_len) + body_len;
 }
 
-TaskMessage read_task_body(serde::Reader& r) {
-  TaskMessage msg;
-  msg.task_id = r.varint();
-  msg.category = std::string(r.str());
-  msg.command_line = std::string(r.str());
-  msg.allocation.cores = r.real();
-  msg.allocation.memory_bytes = r.real();
-  msg.allocation.disk_bytes = r.real();
-  const size_t n_in = r.varint();
-  msg.infiles.reserve(std::min<size_t>(n_in, r.remaining()));
-  for (size_t i = 0; i < n_in; ++i) {
-    TaskMessage::FileStanza f;
-    f.name = std::string(r.str());
-    f.size_bytes = r.svarint();
-    const uint8_t cacheable = r.u8();
-    if (cacheable > 1) throw Error("protocol: bad cacheable byte");
-    f.cacheable = cacheable == 1;
-    msg.infiles.push_back(std::move(f));
-  }
-  const size_t n_out = r.varint();
-  msg.outfiles.reserve(std::min<size_t>(n_out, r.remaining()));
-  for (size_t i = 0; i < n_out; ++i) msg.outfiles.push_back(std::string(r.str()));
-  // Trailing trace-context extension. The reader is always bounded to
-  // exactly one body (parse_frame for single frames, the entry sub-reader
-  // for batches), so "bytes remain" means "extension present".
-  if (r.remaining() > 0) {
-    msg.trace_id = r.varint();
-    msg.parent_span = r.varint();
-  }
-  if (msg.task_id == 0) throw Error("protocol: missing task id");
-  return msg;
+// Reserve the whole frame, then write header and body straight into it.
+template <class WriteBody>
+std::string write_frame(uint8_t type, size_t body_len, WriteBody&& write_body) {
+  std::string out;
+  out.reserve(frame_size(body_len));
+  StringWriter w(out);
+  w.u8(kFrameMagic0);
+  w.u8(kFrameMagic1);
+  w.u8(kFrameVersion);
+  w.u8(type);
+  w.varint(body_len);
+  write_body(w);
+  return out;
 }
 
-ResultMessage read_result_body(serde::Reader& r) {
-  ResultMessage msg;
-  msg.task_id = r.varint();
-  const int64_t code = r.svarint();
-  if (code < std::numeric_limits<int>::min() ||
-      code > std::numeric_limits<int>::max()) {
-    throw Error("protocol: exit code out of range");
+template <class Msg>
+std::string encode_batch_v2(const std::vector<Msg>& msgs, uint8_t type) {
+  std::vector<size_t> sizes;
+  sizes.reserve(msgs.size());
+  size_t body_len = serde::varint_size(msgs.size());
+  for (const auto& msg : msgs) {
+    sizes.push_back(body_size(msg));
+    body_len += serde::varint_size(sizes.back()) + sizes.back();
   }
-  msg.exit_code = static_cast<int>(code);
-  const uint8_t flags = r.u8();
-  if (flags > 3) throw Error("protocol: unknown result flags");
-  if (flags & 1) {
-    msg.exhausted = true;
-    msg.exhausted_resource = std::string(r.str());
-  }
-  msg.cores_used = r.real();
-  msg.memory_peak_bytes = r.svarint();
-  msg.disk_peak_bytes = r.svarint();
-  msg.wall_seconds = r.real();
-  if (flags & 2) {
-    const serde::BytesView payload = r.bytes();
-    msg.payload.assign(payload.begin(), payload.end());
-  }
-  if (r.remaining() > 0) msg.trace_id = r.varint();
-  if (msg.task_id == 0) throw Error("protocol: missing task id");
-  return msg;
-}
-
-HelloMessage read_hello_body(serde::Reader& r) {
-  HelloMessage msg;
-  msg.worker_name = std::string(r.str());
-  const uint8_t v = r.u8();
-  if (v != 1 && v != 2) throw Error("protocol: bad hello version");
-  msg.preferred = static_cast<WireVersion>(v);
-  msg.capacity.cores = r.real();
-  msg.capacity.memory_bytes = r.real();
-  msg.capacity.disk_bytes = r.real();
-  if (msg.worker_name.empty()) throw Error("protocol: missing worker name");
-  return msg;
-}
-
-FileMessage read_file_body(serde::Reader& r) {
-  FileMessage msg;
-  msg.name = std::string(r.str());
-  const uint8_t cacheable = r.u8();
-  if (cacheable > 1) throw Error("protocol: bad cacheable byte");
-  msg.cacheable = cacheable == 1;
-  const serde::BytesView content = r.bytes();
-  msg.content.assign(content.begin(), content.end());
-  if (msg.name.empty()) throw Error("protocol: missing file name");
-  return msg;
-}
-
-ControlMessage read_control_body(serde::Reader& r) {
-  ControlMessage msg;
-  const uint8_t type = r.u8();
-  if (type < 1 || type > 3) throw Error("protocol: unknown control type");
-  msg.type = static_cast<ControlType>(type);
-  msg.nonce = r.varint();
-  msg.timestamp = r.real();
-  if (r.remaining() > 0) msg.peer_time = r.real();
-  return msg;
-}
-
-StatsMessage read_stats_body(serde::Reader& r) {
-  StatsMessage msg;
-  msg.source = std::string(r.str());
-  msg.workers = r.svarint();
-  msg.pending = r.svarint();
-  msg.completed = r.svarint();
-  msg.fanout_bytes = r.svarint();
-  msg.fanout_files = r.svarint();
-  msg.cache_chunks = r.svarint();
-  msg.cache_bytes = r.svarint();
-  if (msg.source.empty()) throw Error("protocol: missing stats source");
-  return msg;
-}
-
-TelemetryMessage read_telemetry_body(serde::Reader& r) {
-  TelemetryMessage msg;
-  msg.source = std::string(r.str());
-  msg.process_id = r.varint();
-  msg.clock_offset = r.real();
-  msg.dropped = r.svarint();
-  const size_t n_events = r.varint();
-  msg.events.reserve(std::min<size_t>(n_events, r.remaining()));
-  for (size_t i = 0; i < n_events; ++i) {
-    obs::TelemetryEvent ev;
-    ev.ph = static_cast<char>(r.u8());
-    ev.pid = static_cast<uint32_t>(r.varint());
-    ev.tid = r.varint();
-    ev.trace_id = r.varint();
-    ev.ts = r.real();
-    ev.dur = r.real();
-    ev.name = std::string(r.str());
-    ev.cat = std::string(r.str());
-    ev.akey0 = std::string(r.str());
-    ev.aval0 = r.real();
-    ev.akey1 = std::string(r.str());
-    ev.aval1 = r.real();
-    ev.skey = std::string(r.str());
-    ev.sval = std::string(r.str());
-    msg.events.push_back(std::move(ev));
-  }
-  const size_t n_counters = r.varint();
-  msg.counters.reserve(std::min<size_t>(n_counters, r.remaining()));
-  for (size_t i = 0; i < n_counters; ++i) {
-    std::string name(r.str());
-    const int64_t value = r.svarint();
-    msg.counters.emplace_back(std::move(name), value);
-  }
-  const size_t n_gauges = r.varint();
-  msg.gauges.reserve(std::min<size_t>(n_gauges, r.remaining()));
-  for (size_t i = 0; i < n_gauges; ++i) {
-    std::string name(r.str());
-    const double value = r.real();
-    msg.gauges.emplace_back(std::move(name), value);
-  }
-  if (msg.source.empty()) throw Error("protocol: missing telemetry source");
-  return msg;
+  return write_frame(type, body_len, [&](StringWriter& w) {
+    w.varint(msgs.size());
+    for (size_t i = 0; i < msgs.size(); ++i) {
+      w.varint(sizes[i]);
+      layout(w, msgs[i]);
+    }
+  });
 }
 
 struct Frame {
@@ -939,69 +864,88 @@ auto protocol_guard(Fn&& fn) {
   }
 }
 
-template <typename Message>
-std::string encode_one_v2(const Message& msg, uint8_t type, size_t body_len,
-                          void (*write_body)(const Message&, StringWriter&)) {
+// The shared encode/decode paths behind the public overloads: v1 messages
+// go to their text codec, v2 ones through the message's layout.
+template <class Msg>
+std::string encode_message(const Msg& msg, WireVersion version, uint8_t type) {
   std::string out;
-  out.reserve(frame_size(body_len));
-  StringWriter w(out);
-  write_frame_header(w, type, body_len);
-  write_body(msg, w);
+  if (version == WireVersion::kV1) {
+    encode_v1(msg, out);
+  } else {
+    out = write_frame(type, body_size(msg), [&](StringWriter& w) { layout(w, msg); });
+  }
+  count_encoded(out.size(), 1);
   return out;
 }
 
-template <typename Message>
-std::string encode_batch_v2(const std::vector<Message>& msgs, uint8_t type,
-                            size_t (*body_size)(const Message&),
-                            void (*write_body)(const Message&, StringWriter&)) {
-  std::vector<size_t> sizes;
-  sizes.reserve(msgs.size());
-  size_t body_len = serde::varint_size(msgs.size());
-  for (const auto& msg : msgs) {
-    sizes.push_back(body_size(msg));
-    body_len += serde::varint_size(sizes.back()) + sizes.back();
-  }
+template <class Msg>
+std::string encode_batch_message(const std::vector<Msg>& msgs, WireVersion version,
+                                 uint8_t type) {
   std::string out;
-  out.reserve(frame_size(body_len));
-  StringWriter w(out);
-  write_frame_header(w, type, body_len);
-  w.varint(msgs.size());
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    w.varint(sizes[i]);
-    write_body(msgs[i], w);
+  if (version == WireVersion::kV1) {
+    for (const auto& msg : msgs) encode_v1(msg, out);
+  } else {
+    out = encode_batch_v2(msgs, type);
   }
+  count_encoded(out.size(), msgs.size());
   return out;
 }
 
-template <typename Message>
-std::vector<Message> decode_batch_v2(Frame& frame, uint8_t single_type,
-                                     uint8_t batch_type,
-                                     Message (*read_body)(serde::Reader&)) {
-  std::vector<Message> out;
-  if (frame.type == single_type) {
-    out.push_back(read_body(frame.body));
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
+template <class Msg>
+Msg decode_message(const std::string& wire, Msg (*decode_v1)(const std::string&),
+                   uint8_t type, const char* what) {
+  count_decoded(wire.size());
+  if (detect_version(wire) == WireVersion::kV1) return decode_v1(wire);
+  return protocol_guard([&] {
+    Frame frame = parse_frame(wire);
+    if (frame.type != type) {
+      throw Error(std::string("protocol: expected '") + what + "' message");
+    }
+    return read_body<Msg>(frame.body, "protocol: trailing garbage after frame");
+  });
+}
+
+template <class Msg>
+std::vector<Msg> decode_batch_message(const std::string& wire,
+                                      Msg (*decode_v1)(const std::string&),
+                                      uint8_t single_type, uint8_t batch_type) {
+  count_decoded(wire.size());
+  if (detect_version(wire) == WireVersion::kV1) {
+    std::vector<Msg> out;
+    for (const auto& chunk : split_v1_messages(wire)) out.push_back(decode_v1(chunk));
     return out;
   }
-  if (frame.type != batch_type) {
-    throw Error("protocol: unexpected frame type " + std::to_string(frame.type));
-  }
-  const uint64_t count = frame.body.varint();
-  out.reserve(std::min<size_t>(count, frame.body.remaining()));
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t len = frame.body.varint();
-    if (len > frame.body.remaining()) throw Error("protocol: truncated frame");
-    // Bound each entry to its own reader: the body readers treat "bytes
-    // remain" as "trailing extension present", which must mean bytes of
-    // THIS entry, not of the ones that follow it in the batch.
-    serde::Reader entry(frame.body.raw(len), len);
-    out.push_back(read_body(entry));
-    if (entry.remaining() != 0) {
-      throw Error("protocol: batch entry length mismatch");
+  return protocol_guard([&] {
+    std::vector<Msg> out;
+    Frame frame = parse_frame(wire);
+    if (frame.type == single_type) {
+      out.push_back(read_body<Msg>(frame.body, "protocol: trailing garbage after frame"));
+      return out;
     }
-  }
-  if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-  return out;
+    if (frame.type != batch_type) {
+      throw Error("protocol: unexpected frame type " + std::to_string(frame.type));
+    }
+    const uint64_t count = frame.body.varint();
+    out.reserve(std::min<size_t>(count, frame.body.remaining()));
+    for (uint64_t i = 0; i < count; ++i) {
+      const uint64_t len = frame.body.varint();
+      if (len > frame.body.remaining()) throw Error("protocol: truncated frame");
+      // Bound each entry to its own reader: "bytes remain" means a trailing
+      // extension of THIS entry, not the entries that follow it.
+      serde::Reader entry(frame.body.raw(len), len);
+      out.push_back(read_body<Msg>(entry, "protocol: batch entry length mismatch"));
+    }
+    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
+    return out;
+  });
+}
+
+template <class Msg>
+size_t encoded_size_of(const Msg& msg, WireVersion version) {
+  if (version == WireVersion::kV2) return frame_size(body_size(msg));
+  std::string out;
+  encode_v1(msg, out);
+  return out.size();
 }
 
 }  // namespace
@@ -1024,188 +968,75 @@ WireVersion detect_version(const std::string& wire) {
 }
 
 std::string encode(const TaskMessage& msg, WireVersion version) {
-  validate_task_tokens(msg);
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    out = encode_one_v2(msg, kFrameTask, task_body_size(msg), write_task_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameTask);
 }
 
 std::string encode(const ResultMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    out = encode_one_v2(msg, kFrameResult, result_body_size(msg), write_result_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameResult);
 }
 
 std::string encode(const HelloMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    if (!valid_token(msg.worker_name)) throw Error("protocol: invalid worker name");
-    out = encode_one_v2(msg, kFrameHello, hello_body_size(msg), write_hello_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameHello);
 }
 
 std::string encode(const FileMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    if (!valid_token(msg.name)) throw Error("protocol: invalid file name " + msg.name);
-    out = encode_one_v2(msg, kFrameFile, file_body_size(msg), write_file_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameFile);
 }
 
 std::string encode(const ControlMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    out = encode_one_v2(msg, kFrameControl, control_body_size(msg), write_control_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameControl);
 }
 
 std::string encode(const StatsMessage& msg, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    encode_v1(msg, out);
-  } else {
-    if (!valid_token(msg.source)) throw Error("protocol: invalid stats source");
-    out = encode_one_v2(msg, kFrameStats, stats_body_size(msg), write_stats_body);
-  }
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameStats);
 }
 
 std::string encode(const TelemetryMessage& msg, WireVersion version) {
-  if (version == WireVersion::kV1) {
-    // Telemetry has no v1 text form; a v1 link simply does not ship it.
-    throw Error("protocol: telemetry requires wire v2");
-  }
-  if (!valid_token(msg.source)) throw Error("protocol: invalid telemetry source");
-  std::string out = encode_one_v2(msg, kFrameTelemetry, telemetry_body_size(msg),
-                                  write_telemetry_body);
-  count_encoded(out.size(), 1);
-  return out;
+  return encode_message(msg, version, kFrameTelemetry);
 }
 
 std::string encode_batch(const std::vector<TaskMessage>& msgs, WireVersion version) {
-  for (const auto& msg : msgs) validate_task_tokens(msg);
-  std::string out;
-  if (version == WireVersion::kV1) {
-    for (const auto& msg : msgs) encode_v1(msg, out);
-  } else {
-    out = encode_batch_v2(msgs, kFrameTaskBatch, task_body_size, write_task_body);
-  }
-  count_encoded(out.size(), msgs.size());
-  return out;
+  return encode_batch_message(msgs, version, kFrameTaskBatch);
 }
 
 std::string encode_batch(const std::vector<ResultMessage>& msgs, WireVersion version) {
-  std::string out;
-  if (version == WireVersion::kV1) {
-    for (const auto& msg : msgs) encode_v1(msg, out);
-  } else {
-    out = encode_batch_v2(msgs, kFrameResultBatch, result_body_size, write_result_body);
-  }
-  count_encoded(out.size(), msgs.size());
-  return out;
+  return encode_batch_message(msgs, version, kFrameResultBatch);
 }
 
 TaskMessage decode_task(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_task_v1(wire);
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    if (frame.type != kFrameTask) {
-      throw Error("protocol: expected 'task' message");
-    }
-    TaskMessage msg = read_task_body(frame.body);
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return msg;
-  });
+  return decode_message(wire, decode_task_v1, kFrameTask, "task");
 }
 
 ResultMessage decode_result(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_result_v1(wire);
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    if (frame.type != kFrameResult) {
-      throw Error("protocol: expected 'result' message");
-    }
-    ResultMessage msg = read_result_body(frame.body);
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return msg;
-  });
+  return decode_message(wire, decode_result_v1, kFrameResult, "result");
 }
-
-namespace {
-
-// Shared v2 single-frame decode: header parse, type check, body read,
-// trailing-garbage check — the shape decode_task/decode_result hand-roll.
-template <typename Message>
-Message decode_one_v2(const std::string& wire, uint8_t type, const char* what,
-                      Message (*read_body)(serde::Reader&)) {
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    if (frame.type != type) {
-      throw Error(std::string("protocol: expected '") + what + "' message");
-    }
-    Message msg = read_body(frame.body);
-    if (frame.body.remaining() != 0) throw Error("protocol: trailing garbage after frame");
-    return msg;
-  });
-}
-
-}  // namespace
 
 HelloMessage decode_hello(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_hello_v1(wire);
-  return decode_one_v2(wire, kFrameHello, "hello", read_hello_body);
+  return decode_message(wire, decode_hello_v1, kFrameHello, "hello");
 }
 
 FileMessage decode_file(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_file_v1(wire);
-  return decode_one_v2(wire, kFrameFile, "put", read_file_body);
+  return decode_message(wire, decode_file_v1, kFrameFile, "put");
 }
 
 ControlMessage decode_control(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_control_v1(wire);
-  return decode_one_v2(wire, kFrameControl, "control", read_control_body);
+  return decode_message(wire, decode_control_v1, kFrameControl, "control");
 }
 
 StatsMessage decode_stats(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) return decode_stats_v1(wire);
-  return decode_one_v2(wire, kFrameStats, "stats", read_stats_body);
+  return decode_message(wire, decode_stats_v1, kFrameStats, "stats");
 }
 
 TelemetryMessage decode_telemetry(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) {
-    throw Error("protocol: telemetry requires wire v2");
-  }
-  return decode_one_v2(wire, kFrameTelemetry, "telemetry", read_telemetry_body);
+  return decode_message(wire, decode_telemetry_v1, kFrameTelemetry, "telemetry");
+}
+
+std::vector<TaskMessage> decode_task_batch(const std::string& wire) {
+  return decode_batch_message(wire, decode_task_v1, kFrameTask, kFrameTaskBatch);
+}
+
+std::vector<ResultMessage> decode_result_batch(const std::string& wire) {
+  return decode_batch_message(wire, decode_result_v1, kFrameResult, kFrameResultBatch);
 }
 
 MessageKind classify(const std::string& wire) {
@@ -1259,68 +1090,19 @@ void set_max_frame_body_bytes(size_t limit) {
                                std::memory_order_relaxed);
 }
 
-std::vector<TaskMessage> decode_task_batch(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) {
-    std::vector<TaskMessage> out;
-    for (const auto& chunk : split_v1_messages(wire)) {
-      out.push_back(decode_task_v1(chunk));
-    }
-    return out;
-  }
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    return decode_batch_v2(frame, kFrameTask, kFrameTaskBatch, read_task_body);
-  });
-}
-
-std::vector<ResultMessage> decode_result_batch(const std::string& wire) {
-  count_decoded(wire.size());
-  if (detect_version(wire) == WireVersion::kV1) {
-    std::vector<ResultMessage> out;
-    for (const auto& chunk : split_v1_messages(wire)) {
-      out.push_back(decode_result_v1(chunk));
-    }
-    return out;
-  }
-  return protocol_guard([&] {
-    Frame frame = parse_frame(wire);
-    return decode_batch_v2(frame, kFrameResult, kFrameResultBatch, read_result_body);
-  });
-}
-
 size_t encoded_size(const TaskMessage& msg, WireVersion version) {
-  if (version == WireVersion::kV2) return frame_size(task_body_size(msg));
-  std::string out;
-  encode_v1(msg, out);
-  return out.size();
+  return encoded_size_of(msg, version);
 }
 
 size_t encoded_size(const ResultMessage& msg, WireVersion version) {
-  if (version == WireVersion::kV2) return frame_size(result_body_size(msg));
-  std::string out;
-  encode_v1(msg, out);
-  return out.size();
+  return encoded_size_of(msg, version);
 }
 
 size_t task_body_size_v2(uint64_t task_id, const std::string& category,
                          const std::string& command, const alloc::Resources& alloc,
                          const std::vector<InputFile>& inputs, size_t outfile_count) {
-  (void)alloc;  // three fixed-width doubles, size-independent
-  size_t n = serde::varint_size(task_id);
-  n += str_field_size(category.size());
-  n += str_field_size(command.size());
-  n += 24;  // alloc
-  n += serde::varint_size(inputs.size());
-  for (const auto& f : inputs) {
-    n += str_field_size(f.name.size());
-    n += serde::varint_size(serde::zigzag(f.size_bytes));
-    n += 1;  // cacheable
-  }
-  n += serde::varint_size(outfile_count);
-  // Simulated tasks carry no outfile names; each would add its own
-  // str_field_size. outfile_count is zero on the master's data plane today.
-  return n;
+  return body_size(TaskFields{task_id, category, command, alloc, inputs,
+                              std::vector<std::string>(outfile_count)});
 }
 
 size_t batch_entry_size(size_t body_size) {

@@ -594,5 +594,115 @@ TEST(Protocol, FrameBodyLimitIsConfigurable) {
   EXPECT_EQ(back.content.size(), 1024u);
 }
 
+// --- v2 byte goldens ----------------------------------------------------------
+
+std::string to_hex(const std::string& wire) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : wire) {
+    const auto b = static_cast<uint8_t>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// Every v2 frame type pinned byte for byte: a layout change that the
+// round-trip tests cannot see (field order, a varint turned fixed-width,
+// an extension emitted when it should be absent) fails here.
+TEST(Protocol, V2FramesAreByteIdenticalToGoldens) {
+  TaskMessage traced = sample_task();
+  traced.trace_id = 0xDEADBEEFCAFE1234ull;
+  traced.parent_span = 77;
+  EXPECT_EQ(to_hex(encode(sample_task())),
+            "f751020196012a0c6865702d616e616c797369732d707974686f6e206c666d5f"
+            "777261707065722e707920666e2e706b6c2027617267206f6e6527202d2d666c"
+            "61670000000000000040000000c00b5ad6410000000065cddd4102146865702d"
+            "636f6e64612d656e762e7461722e677a80f0f0e40101116576656e74732d3030"
+            "3030312e726f6f74c0843d00010e686973742d30303030312e706b6c");
+  EXPECT_EQ(to_hex(encode(traced)),
+            "f7510201a1012a0c6865702d616e616c797369732d707974686f6e206c666d5f"
+            "777261707065722e707920666e2e706b6c2027617267206f6e6527202d2d666c"
+            "61670000000000000040000000c00b5ad6410000000065cddd4102146865702d"
+            "636f6e64612d656e762e7461722e677a80f0f0e40101116576656e74732d3030"
+            "3030312e726f6f74c0843d00010e686973742d30303030312e706b6cb4a4f8d7"
+            "fcddefd6de014d");
+
+  ResultMessage full = sample_result();
+  full.exit_code = -9;
+  full.exhausted = true;
+  full.exhausted_resource = "memory";
+  full.trace_id = 300;
+  ResultMessage bare;
+  bare.task_id = 1;
+  EXPECT_EQ(to_hex(encode(full)),
+            "f75102022c071103066d656d6f72799a9999999999fd3f8098f65380f09dc706"
+            "0000000000a04f400600ff7a0a20f7ac02");
+  EXPECT_EQ(to_hex(encode(bare)),
+            "f751020215010000000000000000000000000000000000000000");
+
+  EXPECT_EQ(to_hex(encode_batch(std::vector<TaskMessage>{sample_task(), traced})),
+            "f7510203bc020296012a0c6865702d616e616c797369732d707974686f6e206c"
+            "666d5f777261707065722e707920666e2e706b6c2027617267206f6e6527202d"
+            "2d666c61670000000000000040000000c00b5ad6410000000065cddd41021468"
+            "65702d636f6e64612d656e762e7461722e677a80f0f0e40101116576656e7473"
+            "2d30303030312e726f6f74c0843d00010e686973742d30303030312e706b6ca1"
+            "012a0c6865702d616e616c797369732d707974686f6e206c666d5f7772617070"
+            "65722e707920666e2e706b6c2027617267206f6e6527202d2d666c6167000000"
+            "0000000040000000c00b5ad6410000000065cddd4102146865702d636f6e6461"
+            "2d656e762e7461722e677a80f0f0e40101116576656e74732d30303030312e72"
+            "6f6f74c0843d00010e686973742d30303030312e706b6cb4a4f8d7fcddefd6de"
+            "014d");
+  EXPECT_EQ(to_hex(encode_batch(std::vector<ResultMessage>{full, bare})),
+            "f751020444022c071103066d656d6f72799a9999999999fd3f8098f65380f09d"
+            "c7060000000000a04f400600ff7a0a20f7ac0215010000000000000000000000"
+            "000000000000000000");
+
+  EXPECT_EQ(to_hex(encode(HelloMessage{"node-17", WireVersion::kV1,
+                                       alloc::Resources{16.0, 64e9, 500e9}})),
+            "f751020521076e6f64652d31370100000000000030400000000065cd2d420000"
+            "00a2941a5d42");
+  EXPECT_EQ(to_hex(encode(FileMessage{"fn-7.py", true, serde::Bytes{0x00, 0xF7, 0x0A}})),
+            "f75102060d07666e2d372e7079010300f70a");
+  ControlMessage pong{ControlType::kPong, 300, 1234.5};
+  EXPECT_EQ(to_hex(encode(pong)),
+            "f75102070b02ac0200000000004a9340");
+  pong.peer_time = 987.25;
+  EXPECT_EQ(to_hex(encode(pong)),
+            "f75102071302ac0200000000004a93400000000000da8e40");
+  EXPECT_EQ(to_hex(encode(StatsMessage{"foreman-3", 12, -1, 678901, 9876543210, 4321,
+                                       512, 1073741824})),
+            "f75102081d09666f72656d616e2d331801eaef52d4db80cb49c2438008808080"
+            "8008");
+
+  TelemetryMessage telemetry;
+  telemetry.source = "worker-3";
+  telemetry.process_id = 4242;
+  telemetry.clock_offset = -0.125;
+  telemetry.dropped = 17;
+  obs::TelemetryEvent ev;
+  ev.ph = 'X';
+  ev.pid = 2;
+  ev.tid = 99;
+  ev.trace_id = 0xABCDEF01ull;
+  ev.ts = 12.5;
+  ev.dur = 0.25;
+  ev.name = "lfm.run";
+  ev.cat = "worker";
+  ev.akey0 = "rss_mb";
+  ev.aval0 = 88.0;
+  ev.skey = "outcome";
+  ev.sval = "ok";
+  telemetry.events.push_back(ev);
+  telemetry.counters.push_back({"net.results", -12});
+  telemetry.gauges.push_back({"net.queue", 4096.0});
+  EXPECT_EQ(to_hex(encode(telemetry)),
+            "f7510209800108776f726b65722d339221000000000000c0bf220158026381de"
+            "b7de0a0000000000002940000000000000d03f076c666d2e72756e06776f726b"
+            "6572067273735f6d620000000000005640000000000000000000076f7574636f"
+            "6d65026f6b010b6e65742e726573756c74731701096e65742e71756575650000"
+            "00000000b040");
+}
+
 }  // namespace
 }  // namespace lfm::wq

@@ -284,5 +284,159 @@ TEST(WireFuzz, ProtocolRejectsRandomGarbage) {
   }
 }
 
+wq::HelloMessage random_hello(Rng& rng) {
+  wq::HelloMessage msg;
+  msg.worker_name = random_token(rng, 24);
+  msg.preferred = rng() % 2 == 0 ? wq::WireVersion::kV1 : wq::WireVersion::kV2;
+  msg.capacity = alloc::Resources{double(rng() % 64 + 1), double(rng() % (int64_t{1} << 40)),
+                                  double(rng() % (int64_t{1} << 40))};
+  return msg;
+}
+
+wq::FileMessage random_file(Rng& rng) {
+  return {random_token(rng, 24), rng() % 2 == 0, random_bytes(rng, 200)};
+}
+
+wq::ControlMessage random_control(Rng& rng) {
+  // Clock values stay below 1e4 s so v1's "%.9f" text reparses exactly.
+  std::uniform_real_distribution<double> clock(0.0, 1e4);
+  wq::ControlMessage msg{static_cast<wq::ControlType>(rng() % 3 + 1), rng(), clock(rng)};
+  if (rng() % 2 == 0) msg.peer_time = clock(rng);
+  return msg;
+}
+
+wq::StatsMessage random_stats(Rng& rng) {
+  const auto any = [&] { return static_cast<int64_t>(rng()); };
+  return {random_token(rng, 16), any(), any(), any(), any(), any(), any(), any()};
+}
+
+wq::TelemetryMessage random_telemetry(Rng& rng) {
+  wq::TelemetryMessage msg;
+  msg.source = random_token(rng, 16);
+  msg.process_id = rng() % 100000;
+  msg.clock_offset = std::uniform_real_distribution<double>(-1.0, 1.0)(rng);
+  msg.dropped = static_cast<int64_t>(rng() % 1000);
+  for (size_t i = rng() % 4; i > 0; --i) {
+    obs::TelemetryEvent ev;
+    ev.ph = rng() % 2 == 0 ? 'X' : 'i';
+    ev.pid = static_cast<uint32_t>(rng());
+    ev.tid = rng();
+    ev.trace_id = rng();
+    ev.ts = std::uniform_real_distribution<double>(0.0, 1e6)(rng);
+    ev.dur = std::uniform_real_distribution<double>(0.0, 10.0)(rng);
+    ev.name = random_text(rng, 24);
+    ev.cat = random_token(rng, 8);
+    ev.akey0 = random_token(rng, 8);
+    ev.aval0 = static_cast<double>(rng() % 1000);
+    ev.skey = random_token(rng, 8);
+    ev.sval = random_text(rng, 16);
+    msg.events.push_back(std::move(ev));
+  }
+  for (size_t i = rng() % 4; i > 0; --i) {
+    msg.counters.emplace_back(random_token(rng, 16), static_cast<int64_t>(rng()));
+  }
+  for (size_t i = rng() % 4; i > 0; --i) {
+    msg.gauges.emplace_back(random_token(rng, 16), static_cast<double>(rng() % 100000));
+  }
+  return msg;
+}
+
+std::vector<wq::TaskMessage> random_task_batch(Rng& rng) {
+  std::vector<wq::TaskMessage> batch(rng() % 6 + 1);
+  for (auto& msg : batch) {
+    msg = random_task(rng);
+    if (rng() % 2 == 0) {
+      msg.trace_id = rng() | 1;
+      msg.parent_span = rng() % 1000;
+    }
+  }
+  return batch;
+}
+
+// One v2 decoder reachable from a socket, with a source of valid frames
+// for it: the truncation and bit-flip cases below run over all of them.
+struct V2Decoder {
+  const char* name;
+  std::string (*random_frame)(Rng&);
+  void (*decode)(const std::string&);
+};
+
+const V2Decoder kV2Decoders[] = {
+    {"task", [](Rng& rng) { return wq::encode(random_task(rng)); },
+     [](const std::string& w) { (void)wq::decode_task(w); }},
+    {"result", [](Rng& rng) { return wq::encode(random_result(rng)); },
+     [](const std::string& w) { (void)wq::decode_result(w); }},
+    {"task_batch", [](Rng& rng) { return wq::encode_batch(random_task_batch(rng)); },
+     [](const std::string& w) { (void)wq::decode_task_batch(w); }},
+    {"hello", [](Rng& rng) { return wq::encode(random_hello(rng)); },
+     [](const std::string& w) { (void)wq::decode_hello(w); }},
+    {"file", [](Rng& rng) { return wq::encode(random_file(rng)); },
+     [](const std::string& w) { (void)wq::decode_file(w); }},
+    {"control", [](Rng& rng) { return wq::encode(random_control(rng)); },
+     [](const std::string& w) { (void)wq::decode_control(w); }},
+    {"stats", [](Rng& rng) { return wq::encode(random_stats(rng)); },
+     [](const std::string& w) { (void)wq::decode_stats(w); }},
+    {"telemetry", [](Rng& rng) { return wq::encode(random_telemetry(rng)); },
+     [](const std::string& w) { (void)wq::decode_telemetry(w); }},
+};
+
+TEST(WireFuzz, EveryV2DecoderRejectsTruncation) {
+  Rng rng(0x7A5C2);
+  for (const V2Decoder& d : kV2Decoders) {
+    for (int i = 0; i < 20; ++i) {
+      const std::string wire = d.random_frame(rng);
+      ASSERT_NO_THROW(d.decode(wire)) << d.name << " i=" << i;
+      // The length prefix makes every strict prefix detectably short.
+      for (size_t keep = 0; keep < wire.size(); keep += 1 + keep / 16) {
+        EXPECT_THROW(d.decode(wire.substr(0, keep)), Error)
+            << d.name << " i=" << i << " keep=" << keep;
+      }
+    }
+  }
+}
+
+TEST(WireFuzz, EveryV2DecoderSurvivesBitFlips) {
+  Rng rng(0xF1136);
+  for (const V2Decoder& d : kV2Decoders) {
+    for (int i = 0; i < 150; ++i) {
+      std::string wire = d.random_frame(rng);
+      // Flip one to three bits: decode or throw, never crash or overread.
+      for (size_t flips = rng() % 3 + 1; flips > 0; --flips) {
+        const size_t at = rng() % wire.size();
+        wire[at] = static_cast<char>(static_cast<uint8_t>(wire[at]) ^ (1 << rng() % 8));
+      }
+      try {
+        d.decode(wire);
+      } catch (const Error&) {
+        // rejected — fine
+      }
+    }
+  }
+}
+
+// decode(encode(m)) re-encodes to the same bytes: every field the encoder
+// writes, the decoder reads back, in either version a message has.
+template <typename Msg, typename Decode>
+void expect_reencodes(const Msg& msg, Decode decode, wq::WireVersion v, int i) {
+  const std::string wire = wq::encode(msg, v);
+  EXPECT_EQ(wq::encode(decode(wire), v), wire) << "i=" << i << " v=" << int(v);
+}
+
+TEST(WireFuzz, EveryMessageRoundtrips) {
+  Rng rng(0x5EED2);
+  for (int i = 0; i < 100; ++i) {
+    for (const auto v : {wq::WireVersion::kV1, wq::WireVersion::kV2}) {
+      expect_reencodes(random_hello(rng), wq::decode_hello, v, i);
+      expect_reencodes(random_file(rng), wq::decode_file, v, i);
+      expect_reencodes(random_control(rng), wq::decode_control, v, i);
+      expect_reencodes(random_stats(rng), wq::decode_stats, v, i);
+      const auto batch = random_task_batch(rng);
+      const std::string wire = wq::encode_batch(batch, v);
+      EXPECT_EQ(wq::encode_batch(wq::decode_task_batch(wire), v), wire) << "i=" << i;
+    }
+    expect_reencodes(random_telemetry(rng), wq::decode_telemetry, wq::WireVersion::kV2, i);
+  }
+}
+
 }  // namespace
 }  // namespace lfm
